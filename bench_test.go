@@ -131,33 +131,6 @@ func BenchmarkOptimizeCached64(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizeSerial512 and BenchmarkOptimizeParallel512 compare the
-// serial DP against the sharded per-column evaluation on a graph large
-// enough for the fan-out to pay.
-func BenchmarkOptimizeSerial512(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	g := pipeline.RandomGraph(rng, 512, 4)
-	p := pipeline.RandomPipeline(rng, 8, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.OptimizeWith(g, p, 0, 511, pipeline.OptimizeOptions{Workers: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkOptimizeParallel512(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	g := pipeline.RandomGraph(rng, 512, 4)
-	p := pipeline.RandomPipeline(rng, 8, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.OptimizeWith(g, p, 0, 511, pipeline.OptimizeOptions{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDPExhaustiveSmall shows the exponential reference cost the DP
 // avoids (ablation: DP vs exhaustive).
 func BenchmarkDPExhaustiveSmall(b *testing.B) {

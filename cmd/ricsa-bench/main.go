@@ -205,10 +205,11 @@ func runFECDuel() error {
 }
 
 // runScenario soaks the deterministic WAN scenario suite: every canned
-// scenario at a multiple of its go-test virtual duration, with its Verify
-// judgement and the log checksum that makes a run comparable across
-// machines (same seed => same checksum, by the engine's determinism
-// contract — at soak x1; longer soaks extend the sampled tail).
+// scenario at a multiple of its go-test virtual duration (count-exact
+// scripts excepted — their expectations hold only at the scripted length),
+// with its Verify judgement and the log checksum that makes a run
+// comparable across machines (same seed => same checksum, by the engine's
+// determinism contract — at soak x1; longer soaks extend the sampled tail).
 func runScenario(soak int) error {
 	if soak < 1 {
 		soak = 1
@@ -218,7 +219,9 @@ func runScenario(soak int) error {
 		"scenario", "virtual", "wall", "frames", "reopts", "adapts", "restamps", "cache", "log", "verdict")
 	var failed []string
 	for _, sc := range scenario.All() {
-		sc.Duration *= time.Duration(soak)
+		if !sc.CountExact {
+			sc.Duration *= time.Duration(soak)
+		}
 		start := time.Now()
 		res, err := scenario.Run(sc)
 		if err != nil {

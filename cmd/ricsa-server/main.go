@@ -51,6 +51,26 @@ import (
 	"ricsa/internal/webui"
 )
 
+// Connection timeouts for hostile and slow clients: a header that never
+// completes, a body trickled a byte at a time, a keep-alive connection
+// parked forever. There is deliberately no WriteTimeout — a frame long-poll
+// legitimately holds its response open for the Hub's PollTimeout.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "HTTP listen address")
 	maxSessions := flag.Int("max-sessions", 16, "maximum concurrent simulation sessions")
@@ -153,8 +173,7 @@ func main() {
 			s.ID, *sim, req.SourceNode, strings.Join(req.Destinations(), ","))
 	}
 
-	hub := webui.NewHub(mgr)
-	srv := &http.Server{Addr: *addr, Handler: hub.Handler()}
+	srv := newHTTPServer(*addr, webui.NewHub(mgr).Handler())
 
 	go func() {
 		sig := make(chan os.Signal, 1)

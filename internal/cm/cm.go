@@ -533,19 +533,14 @@ func (m *Manager) Optimize(p *pipeline.Pipeline, srcName, dstName string) (*pipe
 	return m.cache.Optimize(g, p, src, dst)
 }
 
-// OptimizeMulti answers a fan-out consultation: the memoized shared-tree
-// dynamic program over the current graph snapshot from the named data
-// source to the named viewer hosts. Identical (graph, pipeline, source,
-// viewer-set) instances — every viewer of a session after the first — are
+// OptimizeMultiTiered answers a fan-out consultation: the memoized
+// shared-tree dynamic program over the current graph snapshot from the named
+// data source to the named viewer hosts. The optimizer may degrade
+// individual delivery branches down the quality ladder (up to maxTier) when
+// the delivery gain beats the fidelity penalty; cost.TierFull keeps every
+// branch at full resolution. Identical (graph, pipeline, source, viewer-set,
+// tier budget) instances — every viewer of a session after the first — are
 // answered from the cache.
-func (m *Manager) OptimizeMulti(p *pipeline.Pipeline, srcName string, dstNames []string) (*pipeline.VRTree, error) {
-	return m.OptimizeMultiTiered(p, srcName, dstNames, cost.TierFull)
-}
-
-// OptimizeMultiTiered is OptimizeMulti with a per-branch tier budget: the
-// optimizer may degrade individual delivery branches down the quality
-// ladder (up to maxTier) when the delivery gain beats the fidelity
-// penalty. The tier budget is part of the cache key.
 func (m *Manager) OptimizeMultiTiered(p *pipeline.Pipeline, srcName string, dstNames []string, maxTier cost.Tier) (*pipeline.VRTree, error) {
 	m.mu.Lock()
 	g := m.graph

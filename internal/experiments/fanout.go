@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"ricsa/internal/cost"
 	"ricsa/internal/dataset"
 	"ricsa/internal/netsim"
 	"ricsa/internal/steering"
@@ -99,7 +100,7 @@ func RunFanout(o Options, maxK int) ([]FanoutRow, error) {
 			// Every viewer of the session consults the CM on join; the
 			// destination set is the cache key, so only the first runs the
 			// tree DP.
-			tree, err := d.CM.OptimizeMulti(pipe, src, row.Viewers)
+			tree, err := d.CM.OptimizeMultiTiered(pipe, src, row.Viewers, cost.TierFull)
 			if err != nil {
 				return nil, fmt.Errorf("fanout tree K=%d: %w", k, err)
 			}

@@ -243,36 +243,25 @@ func NewCache(capacity int) *Cache {
 	}
 }
 
-// Optimize is the memoized equivalent of the package-level Optimize.
+// Optimize is the memoized equivalent of the package-level Optimize. The
+// returned VRT is a private copy the caller may retain and mutate.
 func (c *Cache) Optimize(g *Graph, p *Pipeline, src, dst int) (*VRT, error) {
-	return c.OptimizeWith(g, p, src, dst, OptimizeOptions{})
-}
-
-// OptimizeWith is the memoized equivalent of the package-level OptimizeWith.
-// The returned VRT is a private copy the caller may retain and mutate.
-func (c *Cache) OptimizeWith(g *Graph, p *Pipeline, src, dst int, opt OptimizeOptions) (*VRT, error) {
 	key := CacheKey{Graph: g.Fingerprint(), Pipe: p.Fingerprint(), Src: src, Dst: dst}
 	vrt, _, err := c.memoize(key, func() (*VRT, *VRTree, error) {
-		vrt, err := OptimizeWith(g, p, src, dst, opt)
+		vrt, err := Optimize(g, p, src, dst)
 		return vrt, nil, err
 	})
 	return vrt, err
 }
 
-// OptimizeMulti is the memoized equivalent of the package-level
-// OptimizeMulti: one solved tree per (graph, pipeline, source,
-// destination-set) instance, so every viewer of a fan-out session after the
-// first consults the cache instead of re-running the tree DP. Concurrent
-// misses on the same key are single-flight. The returned tree is a private
-// copy the caller may retain and mutate.
-func (c *Cache) OptimizeMulti(g *Graph, p *Pipeline, src int, dsts []int) (*VRTree, error) {
-	return c.OptimizeMultiTiered(g, p, src, dsts, cost.TierFull)
-}
-
 // OptimizeMultiTiered is the memoized equivalent of the package-level
-// OptimizeMultiTiered. The tier budget is part of the cache key, so a
-// session re-negotiating its ladder never sees a tree solved under a
-// different budget.
+// OptimizeMultiTiered: one solved tree per (graph, pipeline, source,
+// destination-set, tier budget) instance, so every viewer of a fan-out
+// session after the first consults the cache instead of re-running the tree
+// DP, and a session re-negotiating its ladder never sees a tree solved
+// under a different budget. Concurrent misses on the same key are
+// single-flight. The returned tree is a private copy the caller may retain
+// and mutate.
 func (c *Cache) OptimizeMultiTiered(g *Graph, p *Pipeline, src int, dsts []int, maxTier cost.Tier) (*VRTree, error) {
 	key := CacheKey{Graph: g.Fingerprint(), Pipe: p.Fingerprint(), Src: src, Dst: -1,
 		Dsts: dstSetFingerprint(dsts), Tier: maxTier}
@@ -328,12 +317,4 @@ func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{Hits: c.hits, Misses: c.misses, Entries: c.lru.Len()}
-}
-
-// Purge drops every cached instance (counters are preserved).
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lru.Init()
-	c.index = make(map[CacheKey]*list.Element)
 }

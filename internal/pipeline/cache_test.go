@@ -15,8 +15,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := RandomGraph(rng, 64, 2)
 		p := RandomPipeline(rng, 6, false)
-		serial, serr := OptimizeWith(g, p, 0, 63, OptimizeOptions{Workers: 1})
-		par, perr := OptimizeWith(g, p, 0, 63, OptimizeOptions{Workers: 8})
+		serial, serr := optimize(g, p, 0, 63, 1)
+		par, perr := optimize(g, p, 0, 63, 8)
 		if (serr == nil) != (perr == nil) {
 			t.Fatalf("seed %d: serial err %v, parallel err %v", seed, serr, perr)
 		}
@@ -40,12 +40,39 @@ func TestAutoParallelThreshold(t *testing.T) {
 		g := RandomGraph(rng, nodes, 2)
 		p := RandomPipeline(rng, 5, false)
 		auto, aerr := Optimize(g, p, 0, nodes-1)
-		serial, serr := OptimizeWith(g, p, 0, nodes-1, OptimizeOptions{Workers: 1})
+		serial, serr := optimize(g, p, 0, nodes-1, 1)
 		if (aerr == nil) != (serr == nil) {
 			t.Fatalf("%d nodes: auto err %v, serial err %v", nodes, aerr, serr)
 		}
 		if aerr == nil && auto.Delay != serial.Delay {
 			t.Fatalf("%d nodes: auto delay %v, serial %v", nodes, auto.Delay, serial.Delay)
+		}
+	}
+}
+
+// BenchmarkOptimizeSerial512 and BenchmarkOptimizeParallel512 compare the
+// serial DP against the size-selected sharded column evaluation on a graph
+// large enough for the fan-out to pay.
+func BenchmarkOptimizeSerial512(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	g := RandomGraph(rng, 512, 4)
+	p := RandomPipeline(rng, 8, false)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := optimize(g, p, 0, 511, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkOptimizeParallel512(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	g := RandomGraph(rng, 512, 4)
+	p := RandomPipeline(rng, 8, false)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Optimize(g, p, 0, 511); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

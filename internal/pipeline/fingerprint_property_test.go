@@ -108,7 +108,7 @@ func TestCacheTierBudgetKeysSeparately(t *testing.T) {
 		t.Fatalf("tiered repeat missed: %+v", st)
 	}
 	// The untiered entry point shares the full-res budget's entries.
-	if _, err := c.OptimizeMulti(g, p, 0, []int{2, 3}); err != nil {
+	if _, err := c.OptimizeMultiTiered(g, p, 0, []int{2, 3}, cost.TierFull); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Misses != 2 || st.Hits != 2 {

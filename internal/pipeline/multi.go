@@ -21,8 +21,8 @@ import (
 // candidate terminal, and the terminal minimizing the *slowest* branch —
 // the delay that gates the monitoring loop when every viewer must receive
 // the frame — is selected. With a single destination the minimax objective
-// degenerates to the plain shortest loop, so OptimizeMulti(g, p, src, {d})
-// returns the same delay as Optimize(g, p, src, d).
+// degenerates to the plain shortest loop, so a one-destination tree has the
+// same delay as Optimize(g, p, src, d).
 
 // VRTBranch is one per-destination delivery branch of a VRTree.
 type VRTBranch struct {
@@ -169,18 +169,6 @@ func RenderSplit(p *Pipeline) int {
 	return split
 }
 
-// OptimizeMulti computes the optimal visualization routing tree from src to
-// the destination set: the shared prefix (modules before RenderSplit) is
-// mapped once, and each destination gets its own tail branch relaxed from
-// the shared terminal's DP column. The shared terminal is chosen to
-// minimize the slowest branch's end-to-end delay. Destinations are
-// deduplicated; branch order follows the deduplicated request order.
-// Every branch delivers at full resolution; see OptimizeMultiTiered for
-// the (placement × encoding tier) generalization.
-func OptimizeMulti(g *Graph, p *Pipeline, src int, dsts []int) (*VRTree, error) {
-	return OptimizeMultiTiered(g, p, src, dsts, cost.TierFull)
-}
-
 // tierScaledPipeline returns p with the tail modules [split, n) — and the
 // message feeding the first of them — rescaled to tier t's payload factor:
 // a downscaled or delta-encoded frame is proportionally cheaper both to
@@ -205,15 +193,22 @@ func tierScaledPipeline(p *Pipeline, split int, t cost.Tier) *Pipeline {
 	return scaled
 }
 
-// OptimizeMultiTiered is OptimizeMulti with the encoding quality ladder as
-// an extra optimization dimension: the backward per-destination tail DP is
-// run once per tier up to maxTier (tail payloads and processing scaled by
-// cost.TierScale), and each branch independently adopts the tier minimizing
-// its tail delay plus the tier's fidelity penalty (cost.TierPenaltySeconds
-// — charged in the selection objective only, never in the reported delay),
-// preferring higher fidelity on ties. With maxTier == TierFull only the
-// full-resolution ladder rung is enumerated and the result is exactly
-// OptimizeMulti's — and over one destination, exactly Optimize's.
+// OptimizeMultiTiered computes the optimal visualization routing tree from
+// src to the destination set: the shared prefix (modules before RenderSplit)
+// is mapped once, and each destination gets its own tail branch relaxed from
+// the shared terminal's DP column. The shared terminal is chosen to minimize
+// the slowest branch's end-to-end delay. Destinations are deduplicated;
+// branch order follows the deduplicated request order.
+//
+// The encoding quality ladder is an extra optimization dimension: the
+// backward per-destination tail DP is run once per tier up to maxTier (tail
+// payloads and processing scaled by cost.TierScale), and each branch
+// independently adopts the tier minimizing its tail delay plus the tier's
+// fidelity penalty (cost.TierPenaltySeconds — charged in the selection
+// objective only, never in the reported delay), preferring higher fidelity
+// on ties. With maxTier == TierFull only the full-resolution rung is
+// enumerated, every branch delivers at full resolution, and over one
+// destination the result is exactly Optimize's.
 func OptimizeMultiTiered(g *Graph, p *Pipeline, src int, dsts []int, maxTier cost.Tier) (*VRTree, error) {
 	nNodes := len(g.Nodes)
 	n := len(p.Modules)

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"ricsa/internal/cost"
 )
 
 // fanSetup builds a small fan topology: a source, a GPU render hub adjacent
@@ -63,7 +65,7 @@ func TestOptimizeMultiSingleDestinationMatchesOptimize(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dst %d: %v", dst, err)
 		}
-		tree, err := OptimizeMulti(g, p, 0, []int{dst})
+		tree, err := OptimizeMultiTiered(g, p, 0, []int{dst}, cost.TierFull)
 		if err != nil {
 			t.Fatalf("dst %d: %v", dst, err)
 		}
@@ -80,7 +82,7 @@ func TestOptimizeMultiSingleDestinationMatchesOptimize(t *testing.T) {
 // every branch ends at its viewer, and the tree delay is the slowest branch.
 func TestOptimizeMultiSharedTree(t *testing.T) {
 	g, p := fanSetup()
-	tree, err := OptimizeMulti(g, p, 0, []int{2, 3, 4})
+	tree, err := OptimizeMultiTiered(g, p, 0, []int{2, 3, 4}, cost.TierFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestOptimizeMultiSharedTree(t *testing.T) {
 // collapse to one branch and the same cache key.
 func TestOptimizeMultiDeduplicatesDestinations(t *testing.T) {
 	g, p := fanSetup()
-	tree, err := OptimizeMulti(g, p, 0, []int{2, 2, 3, 2})
+	tree, err := OptimizeMultiTiered(g, p, 0, []int{2, 2, 3, 2}, cost.TierFull)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,13 +157,13 @@ func TestOptimizeMultiDeduplicatesDestinations(t *testing.T) {
 
 func TestOptimizeMultiBadEndpoints(t *testing.T) {
 	g, p := fanSetup()
-	if _, err := OptimizeMulti(g, p, -1, []int{1}); err != ErrBadEndpoints {
+	if _, err := OptimizeMultiTiered(g, p, -1, []int{1}, cost.TierFull); err != ErrBadEndpoints {
 		t.Fatalf("bad src: %v", err)
 	}
-	if _, err := OptimizeMulti(g, p, 0, nil); err != ErrBadEndpoints {
+	if _, err := OptimizeMultiTiered(g, p, 0, nil, cost.TierFull); err != ErrBadEndpoints {
 		t.Fatalf("empty dsts: %v", err)
 	}
-	if _, err := OptimizeMulti(g, p, 0, []int{99}); err != ErrBadEndpoints {
+	if _, err := OptimizeMultiTiered(g, p, 0, []int{99}, cost.TierFull); err != ErrBadEndpoints {
 		t.Fatalf("bad dst: %v", err)
 	}
 }
@@ -174,7 +176,7 @@ func TestOptimizeMultiInfeasible(t *testing.T) {
 		{Name: "Render", RefTime: 1, OutBytes: 1e6, NeedsGPU: true},
 		{Name: "Deliver", RefTime: 0.1, OutBytes: 1e6},
 	}}
-	if _, err := OptimizeMulti(g, p, 0, []int{1}); err != ErrNoFeasibleMapping {
+	if _, err := OptimizeMultiTiered(g, p, 0, []int{1}, cost.TierFull); err != ErrNoFeasibleMapping {
 		t.Fatalf("want ErrNoFeasibleMapping, got %v", err)
 	}
 }
@@ -188,7 +190,7 @@ func TestOptimizeMultiRandomConsistency(t *testing.T) {
 		g := RandomGraph(rng, 12, 2)
 		p := RandomPipeline(rng, 4, true)
 		dsts := []int{1 + rng.Intn(11), 1 + rng.Intn(11), 1 + rng.Intn(11)}
-		tree, err := OptimizeMulti(g, p, 0, dsts)
+		tree, err := OptimizeMultiTiered(g, p, 0, dsts, cost.TierFull)
 		if err != nil {
 			continue // infeasible instances are fine
 		}
@@ -212,19 +214,19 @@ func TestOptimizeMultiRandomConsistency(t *testing.T) {
 
 // TestCacheOptimizeMulti: one miss per distinct destination set, hits for
 // repeats regardless of viewer join order, single-flight under concurrency.
-func TestCacheOptimizeMulti(t *testing.T) {
+func TestCacheOptimizeMultiTiered(t *testing.T) {
 	g, p := fanSetup()
 	g.Rev = NextGraphRev()
 	c := NewCache(0)
 
-	tree, err := c.OptimizeMulti(g, p, 0, []int{2, 3, 4})
+	tree, err := c.OptimizeMultiTiered(g, p, 0, []int{2, 3, 4}, cost.TierFull)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Misses != 1 || st.Hits != 0 {
 		t.Fatalf("after first consult: %+v", st)
 	}
-	again, err := c.OptimizeMulti(g, p, 0, []int{4, 2, 3}) // same set, different order
+	again, err := c.OptimizeMultiTiered(g, p, 0, []int{4, 2, 3}, cost.TierFull) // same set, different order
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +238,7 @@ func TestCacheOptimizeMulti(t *testing.T) {
 	}
 	// The returned tree is a private copy.
 	again.Branches[0].Dst = "mutated"
-	third, _ := c.OptimizeMulti(g, p, 0, []int{2, 3, 4})
+	third, _ := c.OptimizeMultiTiered(g, p, 0, []int{2, 3, 4}, cost.TierFull)
 	if third.Branches[0].Dst == "mutated" {
 		t.Fatal("cache handed out an aliased tree")
 	}
@@ -254,7 +256,7 @@ func TestCacheOptimizeMulti(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c2.OptimizeMulti(g, p, 0, []int{2, 3, 4}); err != nil {
+			if _, err := c2.OptimizeMultiTiered(g, p, 0, []int{2, 3, 4}, cost.TierFull); err != nil {
 				t.Error(err)
 			}
 		}()

@@ -231,60 +231,24 @@ var (
 	ErrBadEndpoints      = errors.New("pipeline: invalid source or destination node")
 )
 
-// OptimizeOptions tunes how the dynamic program executes. The zero value
-// selects the defaults: automatic parallelism for large graphs, serial
-// execution for small ones.
-type OptimizeOptions struct {
-	// Workers caps the goroutines used per DP column. 0 means automatic
-	// (up to GOMAXPROCS workers once the graph reaches the parallel
-	// threshold, keeping at least parallelChunk nodes of work each);
-	// 1 forces the serial path; >1 forces that worker count.
-	Workers int
-	// ParallelThreshold is the node count at which automatic mode fans
-	// out. 0 selects DefaultParallelThreshold; an explicit value also
-	// lifts the work-per-goroutine floor, so graphs past a caller-chosen
-	// threshold always get at least two workers.
-	ParallelThreshold int
-}
-
-// parallelChunk is the node count automatic mode keeps per goroutine: DP
-// columns are thin (O(in-degree) per node), so finer shards cost more in
-// spawn/join than they save in compute.
+// parallelChunk is the node count kept per goroutine when a DP column fans
+// out: columns are thin (O(in-degree) per node), so finer shards cost more
+// in spawn/join than they save in compute.
 const parallelChunk = 128
 
 // DefaultParallelThreshold is the graph size at which Optimize switches
-// from serial to parallel column evaluation in automatic mode — two
-// parallelChunk shards of work.
+// from serial to parallel column evaluation — two parallelChunk shards of
+// work.
 const DefaultParallelThreshold = 2 * parallelChunk
 
-func (o OptimizeOptions) workers(nNodes int) int {
-	w := o.Workers
-	if w == 0 {
-		th := o.ParallelThreshold
-		explicit := th > 0
-		if !explicit {
-			th = DefaultParallelThreshold
-		}
-		if nNodes < th {
-			return 1
-		}
-		w = runtime.GOMAXPROCS(0)
-		if maxUseful := nNodes / parallelChunk; w > maxUseful {
-			w = maxUseful
-			if explicit && w < 2 {
-				// The caller asked for parallelism at this size; honor it
-				// with the minimum useful fan-out.
-				w = 2
-			}
-		}
+// autoWorkers picks the goroutines per DP column from the node count: serial
+// below DefaultParallelThreshold, else up to GOMAXPROCS workers with at
+// least parallelChunk nodes of work each.
+func autoWorkers(nNodes int) int {
+	if nNodes < DefaultParallelThreshold {
+		return 1
 	}
-	if w > nNodes {
-		w = nNodes
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return min(runtime.GOMAXPROCS(0), nNodes/parallelChunk)
 }
 
 // inEdge is a directed edge viewed from its head: the tail node plus the
@@ -310,17 +274,17 @@ func inEdgeIndex(g *Graph) [][]inEdge {
 // delay of mapping the first j messages onto a path from src to v_i; the
 // answer is T^n(dst). Complexity O(n x |E|). The returned VRT includes the
 // source group (M_1 at src) followed by the computed groups. Large graphs
-// are solved with one goroutine per GOMAXPROCS slice of the node set; see
-// OptimizeWith to control this.
+// are solved with several goroutines per column, chosen from the node count
+// (autoWorkers).
 func Optimize(g *Graph, p *Pipeline, src, dst int) (*VRT, error) {
-	return OptimizeWith(g, p, src, dst, OptimizeOptions{})
+	return optimize(g, p, src, dst, autoWorkers(len(g.Nodes)))
 }
 
-// OptimizeWith is Optimize with explicit execution options. Within a column
-// j every T^j(v) depends only on column j-1, so the per-node loop shards
-// across workers without synchronization beyond the column barrier; results
-// are identical to the serial path.
-func OptimizeWith(g *Graph, p *Pipeline, src, dst int, opt OptimizeOptions) (*VRT, error) {
+// optimize is Optimize at an explicit worker count (<= 1 is the serial
+// path). Within a column j every T^j(v) depends only on column j-1, so the
+// per-node loop shards across workers without synchronization beyond the
+// column barrier; results are identical to the serial path.
+func optimize(g *Graph, p *Pipeline, src, dst, workers int) (*VRT, error) {
 	nNodes := len(g.Nodes)
 	n := len(p.Modules)
 	if src < 0 || src >= nNodes || dst < 0 || dst >= nNodes {
@@ -330,7 +294,6 @@ func OptimizeWith(g *Graph, p *Pipeline, src, dst int, opt OptimizeOptions) (*VR
 		return nil, errors.New("pipeline: empty module list")
 	}
 	in := inEdgeIndex(g)
-	workers := opt.workers(nNodes)
 
 	// T[v] holds T^j(v) for the current column j; prevT the previous one.
 	T := make([]float64, nNodes)

@@ -30,7 +30,7 @@ func tierFanSetup() (*Graph, *Pipeline) {
 // TestOptimizeMultiTieredFullResEquivalence re-pins the PR 3 invariant
 // across the new dimension: with the tier budget forced to full resolution,
 // the tiered tree must reproduce Optimize's mappings and prices exactly,
-// for every destination — and so must the untiered OptimizeMulti wrapper.
+// for every destination.
 func TestOptimizeMultiTieredFullResEquivalence(t *testing.T) {
 	g, p := fanSetup()
 	for dst := 1; dst < len(g.Nodes); dst++ {
@@ -52,32 +52,20 @@ func TestOptimizeMultiTieredFullResEquivalence(t *testing.T) {
 		if err != nil || math.Abs(got-vrt.Delay) > 1e-9 {
 			t.Fatalf("dst %d: placement prices %v (%v), want %v", dst, got, err, vrt.Delay)
 		}
-		plain, err := OptimizeMulti(g, p, 0, []int{dst})
-		if err != nil || plain.Delay != tree.Delay {
-			t.Fatalf("dst %d: OptimizeMulti wrapper diverged: %v (%v)", dst, plain.Delay, err)
-		}
 	}
-	// Random instances: the full-res budget must always collapse to the
-	// untiered solution, branch for branch.
+	// Random instances: under the full-res budget no branch is degraded.
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		rg := RandomGraph(rng, 12, 2)
 		rp := RandomPipeline(rng, 4, true)
 		dsts := []int{1 + rng.Intn(11), 1 + rng.Intn(11)}
-		want, errWant := OptimizeMulti(rg, rp, 0, dsts)
-		got, errGot := OptimizeMultiTiered(rg, rp, 0, dsts, cost.TierFull)
-		if (errWant == nil) != (errGot == nil) {
-			t.Fatalf("trial %d: feasibility diverged: %v vs %v", trial, errWant, errGot)
-		}
-		if errWant != nil {
+		got, err := OptimizeMultiTiered(rg, rp, 0, dsts, cost.TierFull)
+		if err != nil {
 			continue
 		}
-		if want.Delay != got.Delay || len(want.Branches) != len(got.Branches) {
-			t.Fatalf("trial %d: %v vs %v", trial, want, got)
-		}
-		for i := range want.Branches {
-			if want.Branches[i].Delay != got.Branches[i].Delay || got.Branches[i].Tier != cost.TierFull {
-				t.Fatalf("trial %d branch %d: %+v vs %+v", trial, i, want.Branches[i], got.Branches[i])
+		for i, b := range got.Branches {
+			if b.Tier != cost.TierFull {
+				t.Fatalf("trial %d branch %d: tier %v under a full-resolution budget", trial, i, b.Tier)
 			}
 		}
 	}
@@ -90,7 +78,7 @@ func TestOptimizeMultiTieredFullResEquivalence(t *testing.T) {
 // tier-scaled pipeline.
 func TestOptimizeMultiTieredDegradesConstrainedBranch(t *testing.T) {
 	g, p := tierFanSetup()
-	full, err := OptimizeMulti(g, p, 0, []int{2, 3})
+	full, err := OptimizeMultiTiered(g, p, 0, []int{2, 3}, cost.TierFull)
 	if err != nil {
 		t.Fatal(err)
 	}

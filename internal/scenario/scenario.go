@@ -53,6 +53,12 @@ type Scenario struct {
 	Seed int64
 	// Duration is the virtual length of the run.
 	Duration time.Duration
+	// CountExact marks a script whose Verify reconciles exact event counts
+	// (admissions, evictions) that hold only if the run ends when the script
+	// does: past the last scripted poll the polled viewers stall too, and
+	// the service — correctly — evicts them as well. A soak multiplier
+	// leaves such a scenario's Duration alone.
+	CountExact bool
 	// SampleEvery is the metrics sampling cadence (default 2s). Samples are
 	// part of the deterministic log.
 	SampleEvery time.Duration

@@ -1,14 +1,93 @@
 package scenario
 
 import (
+	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
 	"runtime"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"ricsa/internal/netsim"
 	"ricsa/internal/testutil"
 )
+
+// update rewrites the golden log checksums instead of comparing against
+// them: `go test ./internal/scenario -run TestScenarioSuite -update` (plus a
+// second run with -short for load-soak-short).
+var update = flag.Bool("update", false, "rewrite testdata/scenario_logs.sha256 from this run")
+
+// goldenPath lists the SHA-256 of every canned scenario's log in sha256sum
+// format. The logs are a pure function of (seed, script) on the virtual
+// clock, so any refactor of the live frame loop that claims "same
+// behaviour" must leave this file byte-identical.
+const goldenPath = "testdata/scenario_logs.sha256"
+
+var goldenMu sync.Mutex
+
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	sums := make(map[string]string)
+	f, err := os.Open(goldenPath)
+	if err != nil {
+		if *update && os.IsNotExist(err) {
+			return sums
+		}
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if sum, name, ok := strings.Cut(sc.Text(), "  "); ok {
+			sums[name] = sum
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return sums
+}
+
+// checkGolden compares the scenario log's checksum with the recorded one,
+// or records it under -update (merging into the file, since one run covers
+// either load-soak or load-soak-short, never both).
+func checkGolden(t *testing.T, name string, log []byte) {
+	t.Helper()
+	got := fmt.Sprintf("%x", sha256.Sum256(log))
+	goldenMu.Lock()
+	defer goldenMu.Unlock()
+	sums := readGolden(t)
+	if !*update {
+		if want, ok := sums[name]; !ok {
+			t.Fatalf("no golden checksum for %q in %s (run with -update)", name, goldenPath)
+		} else if got != want {
+			t.Fatalf("log checksum %s differs from golden %s: the scenario's behaviour changed", got, want)
+		}
+		return
+	}
+	sums[name] = got
+	names := make([]string, 0, len(sums))
+	for n := range sums {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	var out bytes.Buffer
+	for _, n := range names {
+		fmt.Fprintf(&out, "%s  %s\n", sums[n], n)
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, out.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestScenarioSuite is the acceptance gate for the canned suite: every
 // scenario runs twice, must satisfy its own Verify both times, and must
@@ -17,7 +96,8 @@ import (
 // Under -race the determinism re-run is skipped (race instrumentation makes
 // the sim-stepping scenarios ~15x slower and the byte-compare adds nothing
 // the plain run doesn't already enforce — CI's no-race step runs this test
-// un-instrumented); the race job still executes every scenario once.
+// un-instrumented); the race job still executes every scenario once. Each
+// log that is byte-compared is also held against its golden checksum.
 //
 // Under -short or -race the full load-soak (hundreds of sessions,
 // thousands of viewers — minutes when race-instrumented) is substituted
@@ -69,6 +149,7 @@ func TestScenarioSuite(t *testing.T) {
 				t.Fatalf("same seed, diverging logs at byte %d:\n run1: …%s\n run2: …%s",
 					i, a[lo:min(i+120, len(a))], b[lo:min(i+120, len(b))])
 			}
+			checkGolden(t, sc.Name, first.Log)
 		})
 	}
 }

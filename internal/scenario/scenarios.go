@@ -791,6 +791,7 @@ func LoadSoak() Scenario {
 		Description:  "200 admissions vs a 160-session frame budget, 2000 viewers vs slow-consumer eviction",
 		Seed:         42,
 		Duration:     12 * time.Second,
+		CountExact:   true,
 		SampleEvery:  3 * time.Second,
 		FramePeriod:  200 * time.Millisecond,
 		MaxSessions:  300, // watermark, not the hard cap, must bind
@@ -844,6 +845,7 @@ func LoadSoakShort() Scenario {
 		Description:  "CI-sized load-soak: 30 admissions vs a 20-session budget, 80 viewers vs eviction",
 		Seed:         42,
 		Duration:     8 * time.Second,
+		CountExact:   true,
 		SampleEvery:  2 * time.Second,
 		FramePeriod:  200 * time.Millisecond,
 		MaxSessions:  50,

@@ -391,20 +391,6 @@ func TestSteerIsovalueReoptimizes(t *testing.T) {
 	})
 }
 
-// TestSteerAtomicity checks that a steer containing any unknown key is
-// rejected wholesale — no parameter from the same request may land.
-func TestSteerAtomicity(t *testing.T) {
-	m := testManager(t, 1)
-	s := createFast(t, m)
-	yawBefore := s.Request().Camera.Yaw
-	if err := s.Steer(map[string]float64{"yaw": yawBefore + 1, "bogus": 1}); err == nil {
-		t.Fatal("steer with unknown key accepted")
-	}
-	if got := s.Request().Camera.Yaw; got != yawBefore {
-		t.Fatalf("yaw %v applied from a rejected steer, want %v", got, yawBefore)
-	}
-}
-
 func TestShutdownStopsEverything(t *testing.T) {
 	m := NewSessionManager(ManagerConfig{MaxSessions: 4, ReoptimizeEvery: 2, Seed: 42})
 	var sessions []*ManagedSession

@@ -118,35 +118,6 @@ func BuildIsoPipeline(st DatasetStats) *pipeline.Pipeline {
 	}
 }
 
-// BuildRaycastPipeline assembles the pipeline for direct volume rendering:
-// filtering then ray casting straight to a framebuffer.
-func BuildRaycastPipeline(st DatasetStats, width, height, samplesPerRay int, rc cost.RaycastModel, blockFraction float64) *pipeline.Pipeline {
-	raw := float64(st.RawBytes)
-	return &pipeline.Pipeline{
-		Name:        st.Name + "/raycast",
-		SourceBytes: raw,
-		Modules: []pipeline.Module{
-			{
-				Name:           "Filter",
-				RefTime:        raw / RefFilterBW,
-				OutBytes:       raw,
-				Parallelizable: true,
-			},
-			{
-				Name:           "RayCast",
-				RefTime:        rc.Time(width*height, samplesPerRay, blockFraction),
-				OutBytes:       float64(width * height * 4),
-				Parallelizable: true,
-			},
-			{
-				Name:     "Deliver",
-				RefTime:  float64(width*height*4) / RefDisplayBW,
-				OutBytes: float64(width * height * 4),
-			},
-		},
-	}
-}
-
 // sampleStride keeps calibration to roughly 32 blocks.
 func sampleStride(n int) int {
 	if n <= 32 {

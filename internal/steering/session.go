@@ -74,6 +74,19 @@ func DefaultRequest() Request {
 	}
 }
 
+// newSimulator instantiates the solver a request names at its grid size,
+// with that problem's default parameters.
+func newSimulator(req Request) (*simengine.Sim, error) {
+	switch req.Simulator {
+	case "sod":
+		return simengine.NewSod(req.NX, req.NY, req.NZ, simengine.DefaultSodParams()), nil
+	case "bowshock":
+		return simengine.NewBowShock(req.NX, req.NY, req.NZ, simengine.DefaultBowShockParams()), nil
+	default:
+		return nil, fmt.Errorf("steering: unknown simulator %q", req.Simulator)
+	}
+}
+
 // Session is a live monitoring/steering loop: the simulation at the DS
 // node produces a dataset per frame, the dataset traverses the optimized
 // pipeline to the client, and steering commands travel back over the
@@ -154,13 +167,8 @@ func NewSession(d *Deployment, client, frontEnd, cm, ds string, req Request) (*S
 	}
 
 	// DS instantiates the simulator.
-	switch req.Simulator {
-	case "sod":
-		s.Sim = simengine.NewSod(req.NX, req.NY, req.NZ, simengine.DefaultSodParams())
-	case "bowshock":
-		s.Sim = simengine.NewBowShock(req.NX, req.NY, req.NZ, simengine.DefaultBowShockParams())
-	default:
-		return nil, fmt.Errorf("steering: unknown simulator %q", req.Simulator)
+	if s.Sim, err = newSimulator(req); err != nil {
+		return nil, err
 	}
 	// Charge ~80 ns per cell per cycle on the DS host for the solver.
 	s.SimSecondsPerStep = 80e-9 * float64(req.NX*req.NY*req.NZ)

@@ -2,9 +2,16 @@ package steering
 
 import (
 	"context"
+	"fmt"
+	"sync"
 
 	"ricsa/internal/cost"
 )
+
+// This file is the session's delivery side: how viewers attach, which frame
+// a blocking wait or a non-blocking poll hands them, the on-demand render
+// of a frame produced while nobody watched, and the per-delivery
+// bookkeeping behind the slow-consumer policy.
 
 // Viewer is a tracked per-client attachment to a ManagedSession, the
 // backpressure-aware successor to the presence-only Attach: the session
@@ -35,6 +42,22 @@ type Viewer struct {
 	// served (0 = none). A delta viewer whose keySeq lags the session's
 	// retained keyframe is served the key before any patch.
 	keySeq uint64
+}
+
+// Attach registers a viewer and returns its detach function. The hub calls
+// this once per watching client so Status can report fan-out.
+func (s *ManagedSession) Attach() (detach func()) {
+	s.mu.Lock()
+	s.viewers++
+	s.mu.Unlock()
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			s.mu.Lock()
+			s.viewers--
+			s.mu.Unlock()
+		})
+	}
 }
 
 // AttachViewer registers a tracked full-resolution viewer. The viewer
@@ -81,11 +104,141 @@ func (v *Viewer) Close() {
 	s.mu.Unlock()
 }
 
+// sentLocked is the per-delivery bookkeeping: the viewer's lag cursor moves
+// up to the frame just handed over, and the frame is counted against the
+// tier it was encoded at. A nil viewer is the presence-only WaitFrame path,
+// which tracks nothing.
+func (v *Viewer) sentLocked(tier cost.Tier, seq uint64, frame []byte) {
+	if v == nil {
+		return
+	}
+	if seq > v.delivered {
+		v.delivered = seq
+	}
+	tel := v.s.mgr.tel
+	tel.TierFramesSent[tier].Add(1)
+	tel.TierBytesSent[tier].Add(uint64(len(frame)))
+}
+
+// WaitFrame blocks until a frame with sequence > since exists (or ctx
+// ends). Any number of viewers may wait concurrently. If the newest frame
+// was produced while no viewer was attached (lazy rendering skipped it),
+// WaitFrame renders it on demand from the stashed dataset snapshot.
+func (s *ManagedSession) WaitFrame(ctx context.Context, since uint64) (uint64, []byte, error) {
+	return s.waitFrame(ctx, since, nil)
+}
+
 // Wait blocks until a frame with sequence > since exists, the context
 // ends, the session is destroyed (ErrNoSession), or the viewer is
 // evicted (ErrViewerEvicted).
 func (v *Viewer) Wait(ctx context.Context, since uint64) (uint64, []byte, error) {
 	return v.s.waitFrame(ctx, since, v)
+}
+
+// waitFrame is the shared long-poll core. With a tracked viewer it also
+// enforces the eviction contract — a parked waiter is woken by the
+// publish broadcast of the frame whose eviction scan removed it and
+// returns ErrViewerEvicted — and records frame delivery for the viewer's
+// lag accounting.
+func (s *ManagedSession) waitFrame(ctx context.Context, since uint64, v *Viewer) (uint64, []byte, error) {
+	for {
+		s.mu.Lock()
+		if v != nil && v.evicted {
+			s.mu.Unlock()
+			return 0, nil, ErrViewerEvicted
+		}
+		// A delta viewer that has not seen the current keyframe lineage is
+		// served the retained keyframe before anything else — region patches
+		// are keyframe-relative, so the key plus the latest patch is a
+		// complete reconstruction. The since guard keeps stateless long-poll
+		// clients (one fresh Viewer per HTTP request) from being re-served a
+		// key their cursor already covers.
+		if v != nil && v.tier == cost.TierDelta && s.deltaKey != nil &&
+			v.keySeq != s.deltaKeySeq && s.deltaKeySeq > since {
+			v.keySeq = s.deltaKeySeq
+			seq, frame := s.deltaKeySeq, s.deltaKey
+			v.sentLocked(v.tier, seq, frame)
+			s.mu.Unlock()
+			return seq, frame, nil
+		}
+		// A reduced-tier viewer blocks until its own tier's frame is at
+		// least as fresh as the full frame: the viewer's attach is itself
+		// the demand, so the next produced frame encodes the tier. Unlike
+		// the non-blocking Poll there is no full-frame fallback here — a
+		// blocking wait can afford one frame period, and the reply then
+		// always carries the negotiated representation.
+		if v != nil && v.tier != cost.TierFull {
+			if ts := s.tierSeq[v.tier]; ts > since && ts >= s.pngSeq && s.tierPNG[v.tier] != nil {
+				frame := s.tierPNG[v.tier]
+				v.sentLocked(v.tier, ts, frame)
+				s.mu.Unlock()
+				return ts, frame, nil
+			}
+		} else if s.pngSeq > since && s.png != nil {
+			seq, png := s.pngSeq, s.png
+			v.sentLocked(cost.TierFull, seq, png)
+			s.mu.Unlock()
+			return seq, png, nil
+		}
+		if s.seq > since && s.latest != nil && s.lazyTarget != s.seq {
+			if err := s.lazyRender(); err != nil {
+				return 0, nil, err
+			}
+			continue
+		}
+		ch := s.notify
+		s.mu.Unlock()
+		select {
+		case <-ctx.Done():
+			return 0, nil, ctx.Err()
+		case <-s.stop:
+			return 0, nil, fmt.Errorf("%w: session destroyed", ErrNoSession)
+		case <-ch:
+		}
+	}
+}
+
+// lazyRender renders the current frame on demand: the loop produced
+// frames while idle, and a waiter now wants the newest one. It is called
+// with s.mu held and returns with it released. The caller claims the
+// current frame (single-flight: concurrent waiters see the claim and wait
+// on notify instead of rendering redundantly) and renders outside the lock,
+// with its own buffers since the producer may be running; a racing producer
+// may publish a newer frame meanwhile, in which case this result is simply
+// superseded.
+func (s *ManagedSession) lazyRender() error {
+	field, req := s.latest, s.latestReq
+	target := s.seq
+	s.lazyTarget = target
+	w, h := s.Width, s.Height
+	s.mu.Unlock()
+	img, err := RenderDataset(field, req, w, h)
+	var png []byte
+	if err == nil {
+		png, err = img.PNG()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lazyTarget == target {
+		s.lazyTarget = 0
+	}
+	// Wake the waiters blocked behind the single-flight claim — on failure
+	// too, so another waiter may retry.
+	s.broadcastLocked()
+	if err != nil {
+		s.renderErr = err
+		return err
+	}
+	if target > s.pngSeq {
+		s.png = png
+		s.pngSeq = target
+		s.renders++
+		s.mgr.tel.TierEncodes[cost.TierFull].Add(1)
+		if s.seq == target {
+			s.latest = nil
+		}
+	}
+	return nil
 }
 
 // Poll is the non-blocking consume: it returns the newest rendered frame
@@ -109,27 +262,17 @@ func (v *Viewer) Poll() (uint64, []byte, error) {
 	// reconstructs the current frame (patches are keyframe-relative).
 	if v.tier == cost.TierDelta && s.deltaKey != nil && v.keySeq != s.deltaKeySeq {
 		v.keySeq = s.deltaKeySeq
-		if s.deltaKeySeq > v.delivered {
-			v.delivered = s.deltaKeySeq
-		}
-		frame := s.deltaKey
-		s.mgr.tel.TierFramesSent[v.tier].Add(1)
-		s.mgr.tel.TierBytesSent[v.tier].Add(uint64(len(frame)))
-		return s.deltaKeySeq, frame, nil
+		v.sentLocked(v.tier, s.deltaKeySeq, s.deltaKey)
+		return s.deltaKeySeq, s.deltaKey, nil
 	}
 	if v.tier != cost.TierFull {
 		if ts := s.tierSeq[v.tier]; ts > v.delivered && ts >= s.pngSeq && s.tierPNG[v.tier] != nil {
-			v.delivered = ts
-			frame := s.tierPNG[v.tier]
-			s.mgr.tel.TierFramesSent[v.tier].Add(1)
-			s.mgr.tel.TierBytesSent[v.tier].Add(uint64(len(frame)))
-			return ts, frame, nil
+			v.sentLocked(v.tier, ts, s.tierPNG[v.tier])
+			return ts, s.tierPNG[v.tier], nil
 		}
 	}
 	if s.pngSeq > v.delivered && s.png != nil {
-		v.delivered = s.pngSeq
-		s.mgr.tel.TierFramesSent[cost.TierFull].Add(1)
-		s.mgr.tel.TierBytesSent[cost.TierFull].Add(uint64(len(s.png)))
+		v.sentLocked(cost.TierFull, s.pngSeq, s.png)
 		return s.pngSeq, s.png, nil
 	}
 	// Nothing rendered past this viewer's last frame. Mark the bare

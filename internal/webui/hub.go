@@ -13,11 +13,10 @@ import (
 	"ricsa/internal/telemetry"
 )
 
-// Hub is the multi-session Ajax front end: it routes /sessions/{id}/...
-// requests to the right live session of a steering.SessionManager and
-// multiplexes any number of viewers onto each one. The single-session
-// Server remains for embedding one fixed source; cmd/ricsa-server now
-// serves a Hub.
+// Hub is the Ajax front end: it routes /sessions/{id}/... requests to the
+// right live session of a steering.SessionManager and multiplexes any
+// number of viewers onto each one. An embedding with one computation is a
+// Hub over a manager holding one session (examples/webdemo).
 //
 // Routes:
 //
@@ -133,10 +132,31 @@ func (h *Hub) session(w http.ResponseWriter, r *http.Request) *steering.ManagedS
 	return s
 }
 
+// maxBodyBytes caps the JSON bodies the Hub reads (session create, steer).
+// Both are a handful of scalar fields; the cap is there so a hostile client
+// cannot make the decoder buffer an unbounded body.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes a size-capped JSON request body into dst, replying 413
+// past maxBodyBytes and 400 on malformed JSON. what names the payload in
+// the error text.
+func decodeBody(w http.ResponseWriter, r *http.Request, dst any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(dst)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, "bad "+what+" payload: "+err.Error(), code)
+	return false
+}
+
 func (h *Hub) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var cr CreateRequest
-	if err := json.NewDecoder(r.Body).Decode(&cr); err != nil {
-		http.Error(w, "bad session payload: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &cr, "session") {
 		return
 	}
 	s, err := h.mgr.CreateTuned(cr.toRequest(),
@@ -273,8 +293,7 @@ func (h *Hub) handleSteer(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var params map[string]float64
-	if err := json.NewDecoder(r.Body).Decode(&params); err != nil {
-		http.Error(w, "bad steering payload: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &params, "steering") {
 		return
 	}
 	if len(params) == 0 {

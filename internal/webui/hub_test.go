@@ -527,6 +527,8 @@ func TestHubHandlerErrorPaths(t *testing.T) {
 		{"create malformed JSON", "POST", "/api/sessions", "{", 400},
 		{"create empty body", "POST", "/api/sessions", "", 400},
 		{"create wrong method", "PUT", "/api/sessions", "{}", 405},
+		{"create unbounded grid", "POST", "/api/sessions", `{"nx":100000,"ny":100000,"nz":100000}`, 400},
+		{"create unbounded steps", "POST", "/api/sessions", `{"steps_per_frame":1000000000}`, 400},
 		{"destroy unknown id", "DELETE", "/api/sessions/nope", "", 404},
 		{"destroy wrong method", "PATCH", "/api/sessions/" + id, "", 405},
 		{"cm wrong method", "POST", "/api/cm", "", 405},
@@ -570,6 +572,54 @@ func TestHubHandlerErrorPaths(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Fatalf("destroy #%d status %d, want %d", i+1, resp.StatusCode, want)
 		}
+	}
+}
+
+// endlessJSON is a request body that never ends: an opening quote followed
+// by filler for as long as anyone keeps reading. It counts what was read.
+type endlessJSON struct {
+	prefix string
+	read   int
+}
+
+func (e *endlessJSON) Read(p []byte) (int, error) {
+	n := copy(p, e.prefix)
+	e.prefix = e.prefix[n:]
+	for i := n; i < len(p); i++ {
+		p[i] = 'x'
+	}
+	e.read += len(p)
+	return len(p), nil
+}
+
+func (e *endlessJSON) Close() error { return nil }
+
+// TestHubBodiesAreSizeCapped: the two JSON bodies the Hub reads are cut off
+// at maxBodyBytes — the handler answers 413 having read no more than the
+// cap (plus the decoder's read-ahead), instead of buffering whatever a
+// hostile client streams at it.
+func TestHubBodiesAreSizeCapped(t *testing.T) {
+	h, _ := testHub(t, 2)
+	srv := httptest.NewServer(h.Handler())
+	defer srv.Close()
+	id := createSession(t, srv.URL)
+
+	for _, tc := range []struct{ name, path, prefix string }{
+		{"create", "/api/sessions", `{"simulator":"`},
+		{"steer", "/sessions/" + id + "/api/steer", `{"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := &endlessJSON{prefix: tc.prefix}
+			req := httptest.NewRequest("POST", tc.path, body)
+			rec := httptest.NewRecorder()
+			h.Handler().ServeHTTP(rec, req)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("status %d, want 413", rec.Code)
+			}
+			if body.read > 2*maxBodyBytes {
+				t.Fatalf("handler read %d bytes of an endless body, cap is %d", body.read, maxBodyBytes)
+			}
+		})
 	}
 }
 

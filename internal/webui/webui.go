@@ -4,21 +4,20 @@
 // data-driven partial-update model of Section 1.
 //
 // The 2008 paper used GWT and XMLHttpRequest object exchange; here the
-// embedded client page uses raw XHR long-polling against /api/frame, which
-// preserves the mechanics that matter — only the image element updates when
-// a new frame arrives, and steering posts happen asynchronously while the
-// animation continues. Any number of browsers can watch one computation.
+// embedded client page uses raw XHR long-polling against
+// /sessions/{id}/api/frame, which preserves the mechanics that matter —
+// only the image element updates when a new frame arrives, and steering
+// posts happen asynchronously while the animation continues. Any number of
+// browsers can watch one computation.
 //
-// Server fronts a single FrameSource (one computation). Hub is the
-// multi-session service front end: it routes /sessions/{id}/... to the
-// live sessions of a steering.SessionManager, multiplexes any number of
-// viewers per session, and exposes session CRUD plus the shared
-// optimizer-cache counters. cmd/ricsa-server serves a Hub.
+// Hub is the one front end: it routes /sessions/{id}/... to the live
+// sessions of a steering.SessionManager, multiplexes any number of viewers
+// per session, and exposes session CRUD plus the shared optimizer-cache
+// counters. cmd/ricsa-server serves a Hub; examples/webdemo embeds one.
 package webui
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -29,77 +28,10 @@ import (
 	"ricsa/internal/steering"
 )
 
-// FrameSource is what the front end serves: a sequence of PNG frames plus
-// steering and status operations. steering.Session-backed and live
-// simulation-backed implementations are provided; tests may use fakes.
-type FrameSource interface {
-	// WaitFrame blocks until a frame with sequence > since exists (or ctx
-	// ends), returning its sequence number and PNG bytes.
-	WaitFrame(ctx context.Context, since uint64) (uint64, []byte, error)
-	// Steer applies named steering parameters.
-	Steer(params map[string]float64) error
-	// Status reports session state for the GUI sidebar.
-	Status() map[string]any
-}
-
-// ClientFrameSource is the collaborative extension: sources that maintain
-// per-client views. When the underlying source implements it, requests
-// carrying a ?client=ID query are routed to the client-specific methods.
-type ClientFrameSource interface {
-	FrameSource
-	WaitFrameFor(ctx context.Context, client string, since uint64) (uint64, []byte, error)
-	SteerFor(client string, params map[string]float64) error
-}
-
-// Server is the Ajax front-end HTTP server.
-type Server struct {
-	src FrameSource
-	mux *http.ServeMux
-	// PollTimeout bounds a long-poll before replying 204 No Content; the
-	// client immediately re-polls, which keeps proxies from killing idle
-	// connections.
-	PollTimeout time.Duration
-}
-
-// NewServer builds a front end for the given source.
-func NewServer(src FrameSource) *Server {
-	s := &Server{src: src, mux: http.NewServeMux(), PollTimeout: 25 * time.Second}
-	s.mux.HandleFunc("GET /", s.handleIndex)
-	s.mux.HandleFunc("GET /api/frame", s.handleFrame)
-	s.mux.HandleFunc("POST /api/steer", s.handleSteer)
-	s.mux.HandleFunc("GET /api/status", s.handleStatus)
-	return s
-}
-
-// Handler returns the http.Handler for mounting or serving.
-func (s *Server) Handler() http.Handler { return s.mux }
-
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Path != "/" {
-		http.NotFound(w, r)
-		return
-	}
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	fmt.Fprint(w, clientPage("", "RICSA monitor"))
-}
-
-// handleFrame is the XMLHttpRequest object-exchange endpoint: the browser
-// asks for any frame newer than the one it has; the server holds the
-// request open until one exists.
-func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
-	serveFrame(w, r, s.PollTimeout, cost.TierFull, func(ctx context.Context, since uint64) (uint64, []byte, error) {
-		if cs, ok := s.src.(ClientFrameSource); ok {
-			return cs.WaitFrameFor(ctx, r.URL.Query().Get("client"), since)
-		}
-		return s.src.WaitFrame(ctx, since)
-	})
-}
-
-// serveFrame implements the long-poll frame protocol shared by the
-// single-session Server and the Hub's per-session routes: parse ?since,
-// wait under the poll timeout (204 on expiry, 410 if the session died
-// mid-wait), and reply with the frame, its sequence header, and the tier
-// actually served. tier is the viewer's negotiated tier; the body is
+// serveFrame implements the long-poll frame protocol of the Hub's
+// per-session frame route: parse ?since, wait under the poll timeout (204 on
+// expiry, 410 if the session died mid-wait), and reply with the frame, its
+// sequence header, and the tier actually served. tier is the viewer's negotiated tier; the body is
 // sniffed so a full-frame fallback (or a delta wire frame) is labelled
 // truthfully and typed application/octet-stream when it is not a PNG.
 func serveFrame(w http.ResponseWriter, r *http.Request, timeout time.Duration, tier cost.Tier,
@@ -155,39 +87,9 @@ func isDeltaWire(b []byte) bool {
 	return len(b) >= 4 && b[0] == 'R' && (b[1] == 'K' || b[1] == 'D') && b[2] == 'F' && b[3] == '1'
 }
 
-func (s *Server) handleSteer(w http.ResponseWriter, r *http.Request) {
-	var params map[string]float64
-	if err := json.NewDecoder(r.Body).Decode(&params); err != nil {
-		http.Error(w, "bad steering payload: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(params) == 0 {
-		http.Error(w, "empty steering payload", http.StatusBadRequest)
-		return
-	}
-	var err error
-	if cs, ok := s.src.(ClientFrameSource); ok {
-		err = cs.SteerFor(r.URL.Query().Get("client"), params)
-	} else {
-		err = s.src.Steer(params)
-	}
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprint(w, `{"ok":true}`)
-}
-
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.src.Status())
-}
-
 // clientPage renders the embedded browser client — an image that updates in
 // place via long-polling XHR and a steering form that posts asynchronously —
-// against the API mounted under base ("" for the single-session Server,
-// "/sessions/{id}" for a Hub session).
+// against the session API mounted under base ("/sessions/{id}").
 func clientPage(base, title string) string {
 	return fmt.Sprintf(indexHTML, base, title)
 }

@@ -1,5 +1,10 @@
 package webui
 
+// The long-poll protocol tests. Every one drives a Hub whose manager paces
+// on an injected clock.Virtual: a session produces its first frame at
+// creation and then exactly one frame per Advance(framePeriod), so "a frame
+// is published while a poll is parked" is a scripted event, not a sleep.
+
 import (
 	"bytes"
 	"context"
@@ -13,69 +18,74 @@ import (
 	"testing"
 	"time"
 
+	"ricsa/internal/clock"
 	"ricsa/internal/steering"
 )
 
-// fakeSource is a scriptable FrameSource.
-type fakeSource struct {
-	mu     sync.Mutex
-	seq    uint64
-	png    []byte
-	notify chan struct{}
-	steers []map[string]float64
+const virtualPeriod = 100 * time.Millisecond
+
+// framePeriod is the session's effective cadence: the base period plus the
+// installed mapping's predicted delivery delay, which the loop charges on
+// top of every frame. With no prober the graph — and so the mapping — is
+// static, so the cadence is too.
+func framePeriod(s *steering.ManagedSession) time.Duration {
+	return virtualPeriod + time.Duration(s.VRT().Delay*float64(time.Second))
 }
 
-func newFakeSource() *fakeSource {
-	return &fakeSource{notify: make(chan struct{})}
+// virtualHub serves a Hub over a virtual-clock manager (no prober, so every
+// armed clock waiter is a session frame loop).
+func virtualHub(t *testing.T) (*Hub, *steering.SessionManager, *clock.Virtual, string) {
+	t.Helper()
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	mgr := steering.NewSessionManager(steering.ManagerConfig{MaxSessions: 4, Seed: 42, Clock: clk})
+	h := NewHub(mgr)
+	srv := httptest.NewServer(h.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		mgr.Shutdown(ctx)
+	})
+	return h, mgr, clk, srv.URL
 }
 
-func (f *fakeSource) publish(png []byte) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.seq++
-	f.png = png
-	close(f.notify)
-	f.notify = make(chan struct{})
+// virtualSession starts a small session and returns once its first frame is
+// published and its loop is parked on the clock (armed counts the sessions
+// started so far on this manager).
+func virtualSession(t *testing.T, mgr *steering.SessionManager, clk *clock.Virtual, req steering.Request, armed int) *steering.ManagedSession {
+	t.Helper()
+	req.NX, req.NY, req.NZ = 16, 8, 8
+	req.StepsPerFrame = 1
+	s, err := mgr.CreateTuned(req, virtualPeriod, 32, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.AwaitArmed(armed)
+	return s
 }
 
-func (f *fakeSource) WaitFrame(ctx context.Context, since uint64) (uint64, []byte, error) {
-	for {
-		f.mu.Lock()
-		if f.seq > since && f.png != nil {
-			s, p := f.seq, f.png
-			f.mu.Unlock()
-			return s, p, nil
+// awaitViewers blocks until exactly n long-polls are attached to the
+// session. A handler's attach or detach is an OS-scheduler fact the virtual
+// clock cannot see, so this poll runs on the wall clock by nature.
+func awaitViewers(t *testing.T, s *steering.ManagedSession, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second) //ricsa:wallclock bounds a wait on real net/http handler goroutines
+	for s.Viewers() != n {
+		if time.Now().After(deadline) { //ricsa:wallclock failsafe for the handler-attach wait
+			t.Fatalf("%d long-polls attached, want %d", s.Viewers(), n)
 		}
-		ch := f.notify
-		f.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return 0, nil, ctx.Err()
-		case <-ch:
-		}
+		time.Sleep(time.Millisecond) //ricsa:wallclock backoff while real handler goroutines attach
 	}
 }
 
-func (f *fakeSource) Steer(p map[string]float64) error {
-	if _, bad := p["reject_me"]; bad {
-		return fmt.Errorf("rejected")
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.steers = append(f.steers, p)
-	return nil
-}
-
-func (f *fakeSource) Status() map[string]any {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return map[string]any{"frame_seq": f.seq}
+func frameURL(base string, s *steering.ManagedSession, since uint64) string {
+	return fmt.Sprintf("%s/sessions/%s/api/frame?since=%d", base, s.ID, since)
 }
 
 func TestIndexServesHTML(t *testing.T) {
-	srv := httptest.NewServer(NewServer(newFakeSource()).Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/")
+	_, mgr, clk, url := virtualHub(t)
+	s := virtualSession(t, mgr, clk, steering.DefaultRequest(), 1)
+	resp, err := http.Get(url + "/sessions/" + s.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,18 +94,14 @@ func TestIndexServesHTML(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	if !strings.Contains(string(body), "XMLHttpRequest") && !strings.Contains(string(body), "fetch(") {
-		t.Fatal("page lacks asynchronous polling client")
-	}
-	if !strings.Contains(string(body), "/api/steer") {
-		t.Fatal("page lacks steering form target")
+	if !strings.Contains(string(body), "fetch('/sessions/"+s.ID+"/api/frame?since=") {
+		t.Fatal("page lacks the asynchronous long-polling client")
 	}
 }
 
 func TestUnknownPathIs404(t *testing.T) {
-	srv := httptest.NewServer(NewServer(newFakeSource()).Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/nope")
+	_, _, _, url := virtualHub(t)
+	resp, err := http.Get(url + "/nope")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,39 +112,52 @@ func TestUnknownPathIs404(t *testing.T) {
 }
 
 func TestFrameLongPollDeliversWhenPublished(t *testing.T) {
-	src := newFakeSource()
-	srv := httptest.NewServer(NewServer(src).Handler())
-	defer srv.Close()
+	_, mgr, clk, url := virtualHub(t)
+	s := virtualSession(t, mgr, clk, steering.DefaultRequest(), 1)
 
+	type reply struct {
+		status int
+		seq    string
+		body   []byte
+		err    error
+	}
+	got := make(chan reply, 1)
 	go func() {
-		// Stagger the publish behind the HTTP long-poll's park; real
-		// net/http wait, so wall time is the only clock in play.
-		time.Sleep(30 * time.Millisecond) //ricsa:wallclock staggers a publish behind a real net/http long-poll park
-		src.publish([]byte("png-bytes-1"))
+		// Frame 1 exists; the poll asks for anything newer and parks.
+		resp, err := http.Get(frameURL(url, s, 1))
+		if err != nil {
+			got <- reply{err: err}
+			return
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		got <- reply{status: resp.StatusCode, seq: resp.Header.Get("X-Frame-Seq"), body: body}
 	}()
-	resp, err := http.Get(srv.URL + "/api/frame?since=0")
-	if err != nil {
-		t.Fatal(err)
+	awaitViewers(t, s, 1)
+	select {
+	case r := <-got:
+		t.Fatalf("poll returned before a frame was published: %+v", r)
+	default:
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
+	clk.Advance(framePeriod(s)) // publishes frame 2, waking the parked poll
+	r := <-got
+	if r.err != nil {
+		t.Fatal(r.err)
 	}
-	if got := resp.Header.Get("X-Frame-Seq"); got != "1" {
-		t.Fatalf("seq header %q, want 1", got)
+	if r.status != 200 || r.seq != "2" {
+		t.Fatalf("status %d seq %q, want 200 and seq 2", r.status, r.seq)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	if string(body) != "png-bytes-1" {
-		t.Fatalf("body %q", body)
+	if len(r.body) < 4 || string(r.body[1:4]) != "PNG" {
+		t.Fatal("frame is not PNG")
 	}
 }
 
 func TestFramePollTimesOutWith204(t *testing.T) {
-	s := NewServer(newFakeSource())
-	s.PollTimeout = 50 * time.Millisecond
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/frame?since=0")
+	h, mgr, clk, url := virtualHub(t)
+	h.PollTimeout = 50 * time.Millisecond
+	s := virtualSession(t, mgr, clk, steering.DefaultRequest(), 1)
+	// The clock never advances, so no frame past 1 can appear.
+	resp, err := http.Get(frameURL(url, s, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,97 +167,136 @@ func TestFramePollTimesOutWith204(t *testing.T) {
 	}
 }
 
-func TestFrameBadSinceRejected(t *testing.T) {
-	srv := httptest.NewServer(NewServer(newFakeSource()).Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/frame?since=banana")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
-	}
-}
-
 func TestMultipleClientsReceiveSameFrame(t *testing.T) {
-	src := newFakeSource()
-	srv := httptest.NewServer(NewServer(src).Handler())
-	defer srv.Close()
+	_, mgr, clk, url := virtualHub(t)
+	s := virtualSession(t, mgr, clk, steering.DefaultRequest(), 1)
 
 	const clients = 8
 	var wg sync.WaitGroup
+	bodies := make([][]byte, clients)
 	errs := make(chan error, clients)
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Get(srv.URL + "/api/frame?since=0")
+			resp, err := http.Get(frameURL(url, s, 1))
 			if err != nil {
 				errs <- err
 				return
 			}
 			defer resp.Body.Close()
-			body, _ := io.ReadAll(resp.Body)
-			if string(body) != "shared-frame" {
-				errs <- fmt.Errorf("body %q", body)
+			if seq := resp.Header.Get("X-Frame-Seq"); resp.StatusCode != 200 || seq != "2" {
+				errs <- fmt.Errorf("client %d: status %d seq %q", i, resp.StatusCode, seq)
+				return
 			}
-		}()
+			bodies[i], _ = io.ReadAll(resp.Body)
+		}(i)
 	}
-	time.Sleep(50 * time.Millisecond) //ricsa:wallclock lets all long-poll clients park on the real HTTP server first
-	src.publish([]byte("shared-frame"))
+	awaitViewers(t, s, clients)
+	clk.Advance(framePeriod(s))
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
+	if s.Renders() != 1 {
+		t.Fatalf("%d renders for one published frame, want 1", s.Renders())
+	}
+	for i := 1; i < clients; i++ {
+		if len(bodies[i]) == 0 || !bytes.Equal(bodies[0], bodies[i]) {
+			t.Fatalf("client %d received different bytes than client 0", i)
+		}
+	}
 }
 
+// TestSteerEndpoint posts a bow-shock wind steer over HTTP and proves it
+// reached the simulator: two sessions start identical (same request, same
+// deterministic solver), only one is steered, and only a simulator
+// parameter differs — so diverging frames can have no other cause.
 func TestSteerEndpoint(t *testing.T) {
-	src := newFakeSource()
-	srv := httptest.NewServer(NewServer(src).Handler())
-	defer srv.Close()
+	_, mgr, clk, url := virtualHub(t)
+	req := steering.DefaultRequest()
+	req.Simulator, req.Variable, req.Method = "bowshock", "pressure", "raycast"
+	steered := virtualSession(t, mgr, clk, req, 1)
+	control := virtualSession(t, mgr, clk, req, 2)
+	for _, s := range []*steering.ManagedSession{steered, control} {
+		defer s.AttachViewer().Close() // eager rendering on both
+	}
+	latest := func(s *steering.ManagedSession) []byte {
+		t.Helper()
+		resp, err := http.Get(frameURL(url, s, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != 200 {
+			t.Fatalf("frame status %d: %s", resp.StatusCode, body)
+		}
+		return body
+	}
 
-	body, _ := json.Marshal(map[string]float64{"left_pressure": 8, "isovalue": 0.4})
-	resp, err := http.Post(srv.URL+"/api/steer", "application/json", bytes.NewReader(body))
+	clk.Advance(2 * framePeriod(control))
+	if !bytes.Equal(latest(steered), latest(control)) {
+		t.Fatal("identical sessions diverged before any steer")
+	}
+	body, _ := json.Marshal(map[string]float64{"wind_velocity": 9})
+	resp, err := http.Post(url+"/sessions/"+steered.ID+"/api/steer", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
+		t.Fatalf("steer status %d", resp.StatusCode)
 	}
-	if len(src.steers) != 1 || src.steers[0]["left_pressure"] != 8 {
-		t.Fatalf("steer not recorded: %v", src.steers)
-	}
-
-	// Bad JSON.
-	resp, _ = http.Post(srv.URL+"/api/steer", "application/json", strings.NewReader("{"))
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("bad JSON status %d, want 400", resp.StatusCode)
-	}
-	// Empty payload.
-	resp, _ = http.Post(srv.URL+"/api/steer", "application/json", strings.NewReader("{}"))
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("empty payload status %d, want 400", resp.StatusCode)
-	}
-	// Source rejection surfaces as 400.
-	body, _ = json.Marshal(map[string]float64{"reject_me": 1})
-	resp, _ = http.Post(srv.URL+"/api/steer", "application/json", bytes.NewReader(body))
-	resp.Body.Close()
-	if resp.StatusCode != 400 {
-		t.Fatalf("rejected steer status %d, want 400", resp.StatusCode)
+	clk.Advance(10 * framePeriod(control))
+	if bytes.Equal(latest(steered), latest(control)) {
+		t.Fatal("wind_velocity steer over HTTP never reached the simulator: frames still identical")
 	}
 }
 
+// TestStatusEndpoint reads the frame sequence over HTTP while the injected
+// clock paces the loop: exactly one frame per elapsed period, none early,
+// and a destroyed session leaves no timer armed.
 func TestStatusEndpoint(t *testing.T) {
-	src := newFakeSource()
-	src.publish([]byte("x"))
-	srv := httptest.NewServer(NewServer(src).Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/status")
+	_, mgr, clk, url := virtualHub(t)
+	s := virtualSession(t, mgr, clk, steering.DefaultRequest(), 1)
+	frameSeq := func() float64 {
+		t.Helper()
+		status := getStatus(t, url, s)
+		if status["id"] != s.ID || status["simulator"] != "sod" {
+			t.Fatalf("status %v", status)
+		}
+		return status["frame_seq"].(float64)
+	}
+	if got := frameSeq(); got != 1 {
+		t.Fatalf("frame_seq after start = %v, want 1", got)
+	}
+	// Advance returns only after the loop re-armed its timer, so each whole
+	// period is exactly one more frame.
+	for want := 2.0; want <= 4; want++ {
+		clk.Advance(framePeriod(s))
+		if got := frameSeq(); got != want {
+			t.Fatalf("frame_seq after advance = %v, want %v", got, want)
+		}
+	}
+	// A partial period produces nothing: no hidden wall-clock pacing.
+	clk.Advance(framePeriod(s) / 2)
+	if got := frameSeq(); got != 4 {
+		t.Fatalf("frame_seq after partial advance = %v, want 4", got)
+	}
+	// Destroy must disarm the loop's timer — a leaked waiter would wedge
+	// the next coordinator rendezvous.
+	if err := mgr.Destroy(s.ID); err != nil {
+		t.Fatal(err)
+	}
+	clk.AwaitArmed(0)
+}
+
+// getStatus fetches a session's status JSON over HTTP.
+func getStatus(t *testing.T, url string, s *steering.ManagedSession) map[string]any {
+	t.Helper()
+	resp, err := http.Get(url + "/sessions/" + s.ID + "/api/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,97 +305,55 @@ func TestStatusEndpoint(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatal(err)
 	}
-	if status["frame_seq"].(float64) != 1 {
-		t.Fatalf("status %v", status)
-	}
+	return status
 }
 
-func TestLiveSourceProducesFramesAndSteers(t *testing.T) {
-	req := steering.DefaultRequest()
-	req.NX, req.NY, req.NZ = 32, 12, 12
-	req.StepsPerFrame = 1
-	src, err := NewLiveSource(req)
+// TestCollabSharedPhysicsSteering: viewers of one session share one
+// simulation, so a physics steer posted by any client is what every other
+// client's status reports once it lands at the next step boundary.
+func TestCollabSharedPhysicsSteering(t *testing.T) {
+	_, mgr, clk, url := virtualHub(t)
+	s := virtualSession(t, mgr, clk, steering.DefaultRequest(), 1)
+	body, _ := json.Marshal(map[string]float64{"left_pressure": 7})
+	resp, err := http.Post(url+"/sessions/"+s.ID+"/api/steer", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.FramePeriod = 5 * time.Millisecond
-	src.Width, src.Height = 64, 64
-	src.Start()
-	defer src.Stop()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	seq1, png1, err := src.WaitFrame(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq1 == 0 || len(png1) == 0 {
-		t.Fatal("no first frame")
-	}
-	if png1[1] != 'P' || png1[2] != 'N' || png1[3] != 'G' {
-		t.Fatal("frame is not PNG")
-	}
-	seq2, _, err := src.WaitFrame(ctx, seq1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq2 <= seq1 {
-		t.Fatalf("sequence did not advance: %d -> %d", seq1, seq2)
-	}
-
-	if err := src.Steer(map[string]float64{"left_pressure": 9, "isovalue": 0.3}); err != nil {
-		t.Fatal(err)
-	}
-	// The physics parameter lands at the next step boundary.
-	if _, _, err := src.WaitFrame(ctx, seq2); err != nil {
-		t.Fatal(err)
-	}
-	if got := src.Sim().Params().LeftPressure; got != 9 {
-		t.Fatalf("left pressure %v, want 9", got)
-	}
-	if err := src.Steer(map[string]float64{"bogus": 1}); err == nil {
-		t.Fatal("unknown steering key accepted")
-	}
-	st := src.Status()
-	if st["simulator"] != "sod" {
-		t.Fatalf("status %v", st)
-	}
-}
-
-func TestLiveSourceEndToEndOverHTTP(t *testing.T) {
-	req := steering.DefaultRequest()
-	req.NX, req.NY, req.NZ = 24, 10, 10
-	req.StepsPerFrame = 1
-	src, err := NewLiveSource(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.FramePeriod = 5 * time.Millisecond
-	src.Width, src.Height = 48, 48
-	src.Start()
-	defer src.Stop()
-
-	srv := httptest.NewServer(NewServer(src).Handler())
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/api/frame?since=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
+	resp.Body.Close()
 	if resp.StatusCode != 200 {
-		t.Fatalf("status %d", resp.StatusCode)
+		t.Fatalf("steer status %d", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "image/png" {
-		t.Fatalf("content type %q", ct)
+	if got := getStatus(t, url, s)["left_pressure"]; got == 7.0 {
+		t.Fatal("steer applied before a step boundary")
 	}
-	body, _ := json.Marshal(map[string]float64{"zoom": 1.5})
-	r2, err := http.Post(srv.URL+"/api/steer", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	clk.Advance(framePeriod(s))
+	if got := getStatus(t, url, s)["left_pressure"]; got != 7.0 {
+		t.Fatalf("another client's status reads left_pressure %v, want 7", got)
 	}
-	r2.Body.Close()
-	if r2.StatusCode != 200 {
-		t.Fatalf("steer status %d", r2.StatusCode)
+}
+
+// TestCollabViewerCountInStatus: every parked long-poll is one attached
+// viewer in the session's status, and none once they are served.
+func TestCollabViewerCountInStatus(t *testing.T) {
+	_, mgr, clk, url := virtualHub(t)
+	s := virtualSession(t, mgr, clk, steering.DefaultRequest(), 1)
+	const clients = 3
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, err := http.Get(frameURL(url, s, 1)); err == nil {
+				resp.Body.Close()
+			}
+		}()
 	}
+	awaitViewers(t, s, clients)
+	if got := getStatus(t, url, s)["viewers"]; got != float64(clients) {
+		t.Fatalf("status viewers %v with %d parked polls", got, clients)
+	}
+	clk.Advance(framePeriod(s))
+	wg.Wait()
+	// The handlers detach as they return, just after the clients see EOF.
+	awaitViewers(t, s, 0)
 }
