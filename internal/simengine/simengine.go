@@ -307,29 +307,35 @@ func (s *Sim) applySteering(p Params) {
 }
 
 // stableDt computes the CFL-limited timestep from the global maximum
-// signal speed.
+// signal speed. The largest |velocity| component is picked by
+// compare-and-assign, which equals math.Max on every finite state.
+//
+//ricsa:noalloc
 func (s *Sim) stableDt(par Params) float64 {
 	maxSpeed := 1e-12
 	g := par.Gamma
-	for i := range s.rho {
-		if s.solid[i] {
-			continue
-		}
-		r := s.rho[i]
-		if r <= 0 {
+	g1 := g - 1
+	for i, r := range s.rho {
+		if s.solid[i] || r <= 0 {
 			continue
 		}
 		u := s.mx[i] / r
 		v := s.my[i] / r
 		w := s.mz[i] / r
 		kin := 0.5 * r * (u*u + v*v + w*w)
-		p := (g - 1) * (s.en[i] - kin)
+		p := g1 * (s.en[i] - kin)
 		if p < 1e-12 {
 			p = 1e-12
 		}
 		c := math.Sqrt(g * p / r)
-		sp := math.Max(math.Abs(u), math.Max(math.Abs(v), math.Abs(w))) + c
-		if sp > maxSpeed {
+		a := math.Abs(u)
+		if b := math.Abs(v); b > a {
+			a = b
+		}
+		if b := math.Abs(w); b > a {
+			a = b
+		}
+		if sp := a + c; sp > maxSpeed {
 			maxSpeed = sp
 		}
 	}

@@ -29,16 +29,10 @@ func (t *sweepTask) Run(worker, p int) {
 // benchmarks measure); otherwise they fan out over the shared
 // frame-compute pool through the Sim's queue, competing fairly with other
 // sessions' batches.
+//
+//ricsa:noalloc
 func (s *Sim) sweep(axis int, dt float64, par Params) {
-	var nPencil, pLen int
-	switch axis {
-	case 0:
-		nPencil, pLen = s.NY*s.NZ, s.NX
-	case 1:
-		nPencil, pLen = s.NX*s.NZ, s.NY
-	default:
-		nPencil, pLen = s.NX*s.NY, s.NZ
-	}
+	nPencil, pLen := s.pencils(axis)
 	if pLen < 3 {
 		return
 	}
@@ -84,10 +78,11 @@ func (s *Sim) ensureScratch(workers int) []*sweepScratch {
 // sweepScratch holds per-worker pencil buffers (2 ghost cells per side),
 // sized for pencils up to n cells and reused across sweeps and steps.
 type sweepScratch struct {
-	n                       int       // pencil capacity
-	rho, un, ut1, ut2, pr   []float64 // primitives with ghosts
-	fR, fMn, fMt1, fMt2, fE []float64 // interface fluxes
-	solid                   []bool
+	n                          int       // pencil capacity
+	rho, un, ut1, ut2, pr      []float64 // primitives with ghosts
+	dRho, dUn, dUt1, dUt2, dPr []float64 // minmod-limited slope of each primitive, per cell
+	fR, fMn, fMt1, fMt2, fE    []float64 // interface fluxes
+	solid                      []bool
 }
 
 const ghosts = 2
@@ -98,9 +93,23 @@ func newSweepScratch(n int) *sweepScratch {
 		n:   n,
 		rho: make([]float64, g), un: make([]float64, g),
 		ut1: make([]float64, g), ut2: make([]float64, g), pr: make([]float64, g),
+		dRho: make([]float64, g), dUn: make([]float64, g),
+		dUt1: make([]float64, g), dUt2: make([]float64, g), dPr: make([]float64, g),
 		fR: make([]float64, n+1), fMn: make([]float64, n+1),
 		fMt1: make([]float64, n+1), fMt2: make([]float64, n+1), fE: make([]float64, n+1),
 		solid: make([]bool, g),
+	}
+}
+
+// pencils returns how many pencils run along the axis and their length.
+func (s *Sim) pencils(axis int) (nPencil, pLen int) {
+	switch axis {
+	case 0:
+		return s.NY * s.NZ, s.NX
+	case 1:
+		return s.NX * s.NZ, s.NY
+	default:
+		return s.NX * s.NY, s.NZ
 	}
 }
 
@@ -124,24 +133,30 @@ func (s *Sim) pencilBase(axis, p int) (base, stride int) {
 	}
 }
 
-// sweepPencil updates one pencil with MUSCL-HLL.
+// sweepPencil updates one pencil with MUSCL-HLL in four passes over the
+// worker's scratch: gather primitives (plus ghosts and the solid mirror),
+// one minmod-limited slope per cell and primitive, the HLL flux of every
+// interface computed in place, and the conservative update. The per-cell
+// loops make no calls and hold no closure.
+//
+// The kernel performs the same float operations on the same operands in the
+// same order as the reference kept in kernel_ref_test.go (each cell's slope
+// was computed twice there, as the left and as the right cell of an
+// interface, from the identical expression), so the state it produces is
+// bit-identical on every finite state. It departs from the reference only
+// where that used math.Min/Max for the wave speeds: compare-and-assign
+// differs for NaN operands and in the sign of a zero result. A ±0 wave
+// speed takes an upwind branch that never reads it, and a state holding a
+// NaN is already lost.
+//
+//ricsa:noalloc
 func (s *Sim) sweepPencil(axis, p int, dt float64, par Params, ws *sweepScratch) {
-	var n int
-	switch axis {
-	case 0:
-		n = s.NX
-	case 1:
-		n = s.NY
-	default:
-		n = s.NZ
-	}
+	_, n := s.pencils(axis)
 	g := par.Gamma
 	g1 := g - 1
 
 	// Hoist the per-axis velocity rotation out of the cell loops: mn is the
-	// normal momentum component, mt1/mt2 the transverse ones. The gather and
-	// update below then run axis-free, with the same operand order (and so
-	// bit-identical arithmetic) as the per-cell switch they replace.
+	// normal momentum component, mt1/mt2 the transverse ones.
 	var mn, mt1, mt2 []float64
 	switch axis {
 	case 0:
@@ -153,58 +168,90 @@ func (s *Sim) sweepPencil(axis, p int, dt float64, par Params, ws *sweepScratch)
 	}
 	base, stride := s.pencilBase(axis, p)
 
+	// Reslice the scratch once so the loops below index slices of known
+	// length.
+	m := n + 2*ghosts
+	rho, un, ut1, ut2, pr := ws.rho[:m], ws.un[:m], ws.ut1[:m], ws.ut2[:m], ws.pr[:m]
+	solid := ws.solid[:m]
+
 	// Gather primitives with the axis-appropriate velocity rotation.
+	anySolid := false
 	for k, i := 0, base; k < n; k, i = k+1, i+stride {
 		j := k + ghosts
 		r := s.rho[i]
 		if r < 1e-12 {
 			r = 1e-12
 		}
-		un, ut1, ut2 := mn[i]/r, mt1[i]/r, mt2[i]/r
-		kin := 0.5 * r * (un*un + ut1*ut1 + ut2*ut2)
-		pr := g1 * (s.en[i] - kin)
-		if pr < 1e-12 {
-			pr = 1e-12
+		u, t1, t2 := mn[i]/r, mt1[i]/r, mt2[i]/r
+		kin := 0.5 * r * (u*u + t1*t1 + t2*t2)
+		q := g1 * (s.en[i] - kin)
+		if q < 1e-12 {
+			q = 1e-12
 		}
-		ws.rho[j], ws.un[j], ws.ut1[j], ws.ut2[j], ws.pr[j] = r, un, ut1, ut2, pr
-		ws.solid[j] = s.solid[i]
+		rho[j], un[j], ut1[j], ut2[j], pr[j] = r, u, t1, t2, q
+		sd := s.solid[i]
+		solid[j] = sd
+		anySolid = anySolid || sd
 	}
 
-	s.fillGhosts(axis, n, par, ws)
+	// Ghost cells: outflow (zero gradient) everywhere, except the bow
+	// shock's -x inflow which is pinned to the wind state.
+	lo, hi := ghosts, n+ghosts-1
+	for gi := 0; gi < ghosts; gi++ {
+		h := hi + 1 + gi
+		rho[gi], un[gi], ut1[gi], ut2[gi], pr[gi] = rho[lo], un[lo], ut1[lo], ut2[lo], pr[lo]
+		rho[h], un[h], ut1[h], ut2[h], pr[h] = rho[hi], un[hi], ut1[hi], ut2[hi], pr[hi]
+		solid[gi], solid[h] = false, false
+	}
+	if s.Problem == ProblemBowShock && axis == 0 {
+		for gi := 0; gi < ghosts; gi++ {
+			rho[gi], un[gi], ut1[gi], ut2[gi], pr[gi] = par.WindDensity, par.WindVelocity, 0, 0, par.WindPressure
+		}
+	}
 
 	// Rigid cells reflect: treat a solid neighbor as a mirror with negated
-	// normal velocity so fluxes vanish at the wall.
-	for j := ghosts; j < n+ghosts; j++ {
-		if !ws.solid[j] {
-			continue
-		}
-		// Copy the nearest fluid state mirrored.
-		if j > 0 && !ws.solid[j-1] {
-			ws.rho[j], ws.pr[j] = ws.rho[j-1], ws.pr[j-1]
-			ws.un[j] = -ws.un[j-1]
-			ws.ut1[j], ws.ut2[j] = 0, 0
-		} else if j+1 < len(ws.solid) && !ws.solid[j+1] {
-			ws.rho[j], ws.pr[j] = ws.rho[j+1], ws.pr[j+1]
-			ws.un[j] = -ws.un[j+1]
-			ws.ut1[j], ws.ut2[j] = 0, 0
-		} else {
-			ws.un[j], ws.ut1[j], ws.ut2[j] = 0, 0, 0
+	// normal velocity so fluxes vanish at the wall. Only pencils that cross
+	// the obstacle pay for the pass.
+	if anySolid {
+		for j := ghosts; j < n+ghosts; j++ {
+			if !solid[j] {
+				continue
+			}
+			// Copy the nearest fluid state mirrored.
+			if !solid[j-1] {
+				rho[j], pr[j] = rho[j-1], pr[j-1]
+				un[j] = -un[j-1]
+				ut1[j], ut2[j] = 0, 0
+			} else if !solid[j+1] {
+				rho[j], pr[j] = rho[j+1], pr[j+1]
+				un[j] = -un[j+1]
+				ut1[j], ut2[j] = 0, 0
+			} else {
+				un[j], ut1[j], ut2[j] = 0, 0, 0
+			}
 		}
 	}
 
-	// Interface fluxes with minmod-limited reconstruction.
-	recon := func(arr []float64, j int) (left, right float64) {
-		sl := minmod(arr[j]-arr[j-1], arr[j+1]-arr[j])
-		sr := minmod(arr[j+1]-arr[j], arr[j+2]-arr[j+1])
-		return arr[j] + 0.5*sl, arr[j+1] - 0.5*sr
-	}
-	for f := 0; f <= n; f++ {
+	// One limited slope per cell and primitive; interface f reads the slopes
+	// of the cells on either side of it.
+	dRho, dUn, dUt1, dUt2, dPr := ws.dRho[:m], ws.dUn[:m], ws.dUt1[:m], ws.dUt2[:m], ws.dPr[:m]
+	limitedSlopes(dRho, rho)
+	limitedSlopes(dUn, un)
+	limitedSlopes(dUt1, ut1)
+	limitedSlopes(dUt2, ut2)
+	limitedSlopes(dPr, pr)
+
+	// HLL flux (1-D Euler with two passive transverse momentum components)
+	// at every interface, stored straight into the flux arrays.
+	fR, fMn, fMt1, fMt2, fE := ws.fR[:n+1], ws.fMn[:n+1], ws.fMt1[:n+1], ws.fMt2[:n+1], ws.fE[:n+1]
+	for f := range fR {
 		jL := f + ghosts - 1
-		rL, rR := recon(ws.rho, jL)
-		uL, uR := recon(ws.un, jL)
-		t1L, t1R := recon(ws.ut1, jL)
-		t2L, t2R := recon(ws.ut2, jL)
-		pL, pR := recon(ws.pr, jL)
+		jR := jL + 1
+		rL, rR := rho[jL]+0.5*dRho[jL], rho[jR]-0.5*dRho[jR]
+		uL, uR := un[jL]+0.5*dUn[jL], un[jR]-0.5*dUn[jR]
+		t1L, t1R := ut1[jL]+0.5*dUt1[jL], ut1[jR]-0.5*dUt1[jR]
+		t2L, t2R := ut2[jL]+0.5*dUt2[jL], ut2[jR]-0.5*dUt2[jR]
+		pL, pR := pr[jL]+0.5*dPr[jL], pr[jR]-0.5*dPr[jR]
 		if rL < 1e-12 {
 			rL = 1e-12
 		}
@@ -217,88 +264,68 @@ func (s *Sim) sweepPencil(axis, p int, dt float64, par Params, ws *sweepScratch)
 		if pR < 1e-12 {
 			pR = 1e-12
 		}
-		hll(g, rL, uL, t1L, t2L, pL, rR, uR, t1R, t2R, pR,
-			&ws.fR[f], &ws.fMn[f], &ws.fMt1[f], &ws.fMt2[f], &ws.fE[f])
+		cL := math.Sqrt(g * pL / rL)
+		cR := math.Sqrt(g * pR / rR)
+		sL, sR := uL-cL, uL+cL
+		if x := uR - cR; x < sL {
+			sL = x
+		}
+		if x := uR + cR; x > sR {
+			sR = x
+		}
+
+		switch {
+		case sL >= 0: // supersonic to the right: the left state's physical flux
+			eL := pL/g1 + 0.5*rL*(uL*uL+t1L*t1L+t2L*t2L)
+			mL := rL * uL
+			fR[f], fMn[f], fMt1[f], fMt2[f], fE[f] = mL, mL*uL+pL, mL*t1L, mL*t2L, (eL+pL)*uL
+		case sR <= 0: // supersonic to the left: the right state's
+			eR := pR/g1 + 0.5*rR*(uR*uR+t1R*t1R+t2R*t2R)
+			mR := rR * uR
+			fR[f], fMn[f], fMt1[f], fMt2[f], fE[f] = mR, mR*uR+pR, mR*t1R, mR*t2R, (eR+pR)*uR
+		default:
+			eL := pL/g1 + 0.5*rL*(uL*uL+t1L*t1L+t2L*t2L)
+			eR := pR/g1 + 0.5*rR*(uR*uR+t1R*t1R+t2R*t2R)
+			mL, mR := rL*uL, rR*uR
+			inv := 1 / (sR - sL)
+			ss := sL * sR
+			fR[f] = (sR*mL - sL*mR + ss*(rR-rL)) * inv
+			fMn[f] = (sR*(mL*uL+pL) - sL*(mR*uR+pR) + ss*(mR-mL)) * inv
+			fMt1[f] = (sR*(mL*t1L) - sL*(mR*t1R) + ss*(rR*t1R-rL*t1L)) * inv
+			fMt2[f] = (sR*(mL*t2L) - sL*(mR*t2R) + ss*(rR*t2R-rL*t2L)) * inv
+			fE[f] = (sR*((eL+pL)*uL) - sL*((eR+pR)*uR) + ss*(eR-eL)) * inv
+		}
 	}
 
 	// Conservative update, skipping solid cells.
-	lam := dt / s.dx
+	nlam := -(dt / s.dx)
 	for k, i := 0, base; k < n; k, i = k+1, i+stride {
-		if s.solid[i] {
+		if anySolid && solid[k+ghosts] {
 			continue
 		}
-		dR := -lam * (ws.fR[k+1] - ws.fR[k])
-		dMn := -lam * (ws.fMn[k+1] - ws.fMn[k])
-		dMt1 := -lam * (ws.fMt1[k+1] - ws.fMt1[k])
-		dMt2 := -lam * (ws.fMt2[k+1] - ws.fMt2[k])
-		dE := -lam * (ws.fE[k+1] - ws.fE[k])
-		s.rho[i] += dR
-		if s.rho[i] < 1e-12 {
-			s.rho[i] = 1e-12
+		r := s.rho[i] + nlam*(fR[k+1]-fR[k])
+		if r < 1e-12 {
+			r = 1e-12
 		}
-		mn[i] += dMn
-		mt1[i] += dMt1
-		mt2[i] += dMt2
-		s.en[i] += dE
+		s.rho[i] = r
+		mn[i] += nlam * (fMn[k+1] - fMn[k])
+		mt1[i] += nlam * (fMt1[k+1] - fMt1[k])
+		mt2[i] += nlam * (fMt2[k+1] - fMt2[k])
+		s.en[i] += nlam * (fE[k+1] - fE[k])
 	}
 }
 
-// fillGhosts sets boundary ghost cells: outflow (zero gradient) everywhere,
-// except the bow shock's -x inflow which is pinned to the wind state.
-func (s *Sim) fillGhosts(axis, n int, par Params, ws *sweepScratch) {
-	for gi := 0; gi < ghosts; gi++ {
-		// Low side.
-		ws.rho[gi], ws.un[gi] = ws.rho[ghosts], ws.un[ghosts]
-		ws.ut1[gi], ws.ut2[gi], ws.pr[gi] = ws.ut1[ghosts], ws.ut2[ghosts], ws.pr[ghosts]
-		ws.solid[gi] = false
-		// High side.
-		hi := n + ghosts + gi
-		ws.rho[hi], ws.un[hi] = ws.rho[n+ghosts-1], ws.un[n+ghosts-1]
-		ws.ut1[hi], ws.ut2[hi], ws.pr[hi] = ws.ut1[n+ghosts-1], ws.ut2[n+ghosts-1], ws.pr[n+ghosts-1]
-		ws.solid[hi] = false
-	}
-	if s.Problem == ProblemBowShock && axis == 0 {
-		for gi := 0; gi < ghosts; gi++ {
-			ws.rho[gi] = par.WindDensity
-			ws.un[gi] = par.WindVelocity
-			ws.ut1[gi], ws.ut2[gi] = 0, 0
-			ws.pr[gi] = par.WindPressure
-		}
-	}
-}
-
-// hll computes the HLL flux for 1-D Euler with two passive transverse
-// momentum components.
-func hll(g, rL, uL, t1L, t2L, pL, rR, uR, t1R, t2R, pR float64,
-	fR, fMn, fMt1, fMt2, fE *float64) {
-	cL := math.Sqrt(g * pL / rL)
-	cR := math.Sqrt(g * pR / rR)
-	sL := math.Min(uL-cL, uR-cR)
-	sR := math.Max(uL+cL, uR+cR)
-
-	eL := pL/(g-1) + 0.5*rL*(uL*uL+t1L*t1L+t2L*t2L)
-	eR := pR/(g-1) + 0.5*rR*(uR*uR+t1R*t1R+t2R*t2R)
-
-	// Physical fluxes.
-	fRL, fMnL := rL*uL, rL*uL*uL+pL
-	fMt1L, fMt2L := rL*uL*t1L, rL*uL*t2L
-	fEL := (eL + pL) * uL
-	fRR, fMnR := rR*uR, rR*uR*uR+pR
-	fMt1R, fMt2R := rR*uR*t1R, rR*uR*t2R
-	fER := (eR + pR) * uR
-
-	switch {
-	case sL >= 0:
-		*fR, *fMn, *fMt1, *fMt2, *fE = fRL, fMnL, fMt1L, fMt2L, fEL
-	case sR <= 0:
-		*fR, *fMn, *fMt1, *fMt2, *fE = fRR, fMnR, fMt1R, fMt2R, fER
-	default:
-		inv := 1 / (sR - sL)
-		*fR = (sR*fRL - sL*fRR + sL*sR*(rR-rL)) * inv
-		*fMn = (sR*fMnL - sL*fMnR + sL*sR*(rR*uR-rL*uL)) * inv
-		*fMt1 = (sR*fMt1L - sL*fMt1R + sL*sR*(rR*t1R-rL*t1L)) * inv
-		*fMt2 = (sR*fMt2L - sL*fMt2R + sL*sR*(rR*t2R-rL*t2L)) * inv
-		*fE = (sR*fEL - sL*fER + sL*sR*(eR-eL)) * inv
+// limitedSlopes writes sl[j] = minmod(a[j]-a[j-1], a[j+1]-a[j]) for every
+// cell with both neighbours, carrying each difference into the next cell.
+//
+//ricsa:noalloc
+func limitedSlopes(sl, a []float64) {
+	sl = sl[:len(a)]
+	d0 := a[1] - a[0]
+	for j := 1; j < len(a)-1; j++ {
+		d1 := a[j+1] - a[j]
+		sl[j] = minmod(d0, d1)
+		d0 = d1
 	}
 }
 

@@ -28,9 +28,11 @@ func RenderDataset(f *grid.ScalarField, req Request, width, height int) (*viz.Im
 // non-nil. The assembled mesh is byte-identical to a from-scratch block
 // extraction of the same snapshot, so the rendered image is too. Methods
 // other than isosurface (and a nil cache) fall through to the full path.
+// Either way q is also the lane the raster bands and ray-cast rows run on,
+// so all of a session's pooled frame work queues fairly behind one queue.
 func RenderDatasetROI(sc *viz.FrameScratch, cache *viz.BlockMeshCache, q *fcp.Queue, f *grid.ScalarField, req Request, width, height int) (*viz.Image, error) {
 	if cache == nil || (req.Method != "" && req.Method != "isosurface") {
-		return RenderDatasetInto(sc, f, req, width, height)
+		return renderDatasetInto(sc, q, f, req, width, height)
 	}
 	if sc == nil {
 		sc = &viz.FrameScratch{}
@@ -52,6 +54,7 @@ func RenderDatasetROI(sc *viz.FrameScratch, cache *viz.BlockMeshCache, q *fcp.Qu
 	opt.Width, opt.Height = width, height
 	opt.Camera = req.Camera
 	opt.FixedBounds = &sc.Bounds
+	opt.Queue = q
 	return render.RenderWith(sc, &sc.Mesh, opt), nil
 }
 
@@ -62,6 +65,13 @@ func RenderDatasetROI(sc *viz.FrameScratch, cache *viz.BlockMeshCache, q *fcp.Qu
 // (encode or copy) before the next call with the same scratch. A nil sc
 // allocates fresh buffers, matching RenderDataset.
 func RenderDatasetInto(sc *viz.FrameScratch, f *grid.ScalarField, req Request, width, height int) (*viz.Image, error) {
+	return renderDatasetInto(sc, nil, f, req, width, height)
+}
+
+// renderDatasetInto is RenderDatasetInto with the pooled stages (raster
+// bands, ray-cast rows) submitted through q; a nil q leaves them on the
+// process default pool.
+func renderDatasetInto(sc *viz.FrameScratch, q *fcp.Queue, f *grid.ScalarField, req Request, width, height int) (*viz.Image, error) {
 	if sc == nil {
 		sc = &viz.FrameScratch{}
 	}
@@ -87,11 +97,13 @@ func RenderDatasetInto(sc *viz.FrameScratch, f *grid.ScalarField, req Request, w
 		opt.Width, opt.Height = width, height
 		opt.Camera = req.Camera
 		opt.FixedBounds = &sc.Bounds
+		opt.Queue = q
 		return render.RenderWith(sc, &sc.Mesh, opt), nil
 	case "raycast":
 		opt := raycast.DefaultOptions()
 		opt.Width, opt.Height = width, height
 		opt.Camera = req.Camera
+		opt.Queue = q
 		mn, mx := f.MinMax()
 		opt.Transfer = raycast.HotIron(float64(mn), float64(mx), 0.15)
 		return raycast.RenderWith(sc, f, opt), nil

@@ -1,9 +1,13 @@
 package steering
 
 import (
+	"runtime"
 	"testing"
 
 	"ricsa/internal/dataset"
+	"ricsa/internal/fcp"
+	"ricsa/internal/testutil"
+	"ricsa/internal/viz"
 )
 
 func TestRenderDatasetAllMethods(t *testing.T) {
@@ -54,5 +58,67 @@ func TestRenderDatasetOctantSubset(t *testing.T) {
 	}
 	if !distinct {
 		t.Fatal("octant subsets indistinguishable from the full dataset")
+	}
+}
+
+// TestRenderMultiCoreAllocationFlat is the allocation gate AllocsPerRun
+// cannot be: that helper pins GOMAXPROCS(1), where every pooled stage runs
+// inline, so a per-frame allocation that exists only when work fans out (a
+// goroutine or closure per raster band, say) is invisible to it. This one
+// counts runtime mallocs over warm RenderDatasetROI frames on a one-slot
+// pool and on a four-slot pool at GOMAXPROCS(4), and fails when the wide run
+// costs an allocation per frame more than the inline run.
+func TestRenderMultiCoreAllocationFlat(t *testing.T) {
+	if testutil.RaceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	const frames = 50
+	req := DefaultRequest()
+	sim, err := newSimulator(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.SetWorkers(1)
+	for i := 0; i < 8; i++ {
+		sim.Step()
+	}
+	field := sim.Density()
+
+	mallocs := func(procs int) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		pool := fcp.NewPool(procs)
+		defer pool.Close()
+		q := pool.NewQueue()
+		var sc viz.FrameScratch
+		var roi viz.BlockMeshCache
+		frame := func() {
+			img, err := RenderDatasetROI(&sc, &roi, q, field, req, 256, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if procs > 1 && sc.Mesh.TriangleCount() < 1024 {
+				t.Fatalf("mesh has %d triangles, under the pooled-raster threshold", sc.Mesh.TriangleCount())
+			}
+			if img.NonBlackPixels() == 0 {
+				t.Fatal("frame rendered nothing")
+			}
+		}
+		for i := 0; i < 3; i++ {
+			frame() // grow the arenas, fill the block cache and the task pools
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < frames; i++ {
+			frame()
+		}
+		runtime.ReadMemStats(&after)
+		return after.Mallocs - before.Mallocs
+	}
+	inline := mallocs(1)
+	wide := mallocs(4)
+	t.Logf("mallocs over %d warm frames: %d inline, %d on four slots", frames, inline, wide)
+	if wide >= inline+frames {
+		t.Fatalf("%d warm frames allocate %d objects on four slots, %d inline: the pooled path allocates per frame",
+			frames, wide, inline)
 	}
 }

@@ -343,9 +343,22 @@ type roiTask struct {
 func (t *roiTask) Run(_, i int) {
 	bi := t.dirty[i]
 	m := t.c.Mesh(bi)
+	b := t.c.Block(bi)
+	if m.Vertices == nil {
+		// The block's first surface. A moving front enters a whole slab of
+		// blocks within a frame or two; growing each cached mesh from empty
+		// costs about ten appends' worth of reallocation per block, so
+		// reserve one sheet across the block's largest face up front.
+		m.Vertices = make([]viz.Vec3, 0, sheetVerticesPerCell*max(b.NX*b.NY, b.NY*b.NZ, b.NX*b.NZ))
+	}
 	m.Reset()
-	ExtractBlockInto(m, t.f, t.c.Block(bi), t.iso)
+	ExtractBlockInto(m, t.f, b, t.iso)
 }
+
+// sheetVerticesPerCell is what a surface sheet emits per cell it crosses
+// under the six-tetrahedron decomposition: eight triangles (measured on the
+// planar Sod contact), three vertices each.
+const sheetVerticesPerCell = 3 * 8
 
 var roiPool = sync.Pool{New: func() any { return new(roiTask) }}
 

@@ -72,6 +72,10 @@ type Options struct {
 	// other value runs the rows over the shared frame-compute pool (see
 	// package fcp), whose width bounds the parallelism.
 	Workers int
+	// Queue is the caller's lane into the frame-compute pool — a session
+	// passes its own so its rows compete fairly with other sessions'
+	// batches. Nil uses a private queue on the process default pool.
+	Queue *fcp.Queue
 }
 
 // DefaultOptions renders 512x512 with unit step and a gray ramp over [0,1].
@@ -157,19 +161,24 @@ func RenderWith(sc *viz.FrameScratch, f *grid.ScalarField, opt Options) *viz.Ima
 	// same image; the pooled state and persistent queue keep the steady-state
 	// frame loop free of per-call channel and goroutine allocations.
 	st := rowsPool.Get().(*rowsState)
-	if st.queue == nil {
-		st.queue = fcp.Default().NewQueue()
+	q := opt.Queue
+	if q == nil {
+		if st.queue == nil {
+			st.queue = fcp.Default().NewQueue()
+		}
+		q = st.queue
 	}
 	st.task = rowsTask{f: f, img: img, center: center, dir: dir, right: right, upv: upv,
 		pixScale: pixScale, halfSpan: halfSpan, nSamples: nSamples, opt: opt}
-	st.queue.Run(opt.Height, &st.task)
+	q.Run(opt.Height, &st.task)
 	st.task = rowsTask{}
 	rowsPool.Put(st)
 	return img
 }
 
 // rowsState is the pooled per-call scratch of the parallel path: the task
-// the pool runs and a persistent queue on the shared frame-compute pool.
+// the pool runs and, for callers without a queue of their own, a persistent
+// one on the default pool.
 type rowsState struct {
 	task  rowsTask
 	queue *fcp.Queue
@@ -195,6 +204,8 @@ var rowsPool = sync.Pool{New: func() any { return new(rowsState) }}
 func castRow(f *grid.ScalarField, img *viz.Image, y int, center, dir, right, upv viz.Vec3,
 	pixScale, halfSpan float64, nSamples int, opt Options) {
 	halfW, halfH := float64(opt.Width)/2, float64(opt.Height)/2
+	d := [3]float64{float64(dir[0]), float64(dir[1]), float64(dir[2])}
+	hi := [3]float64{float64(f.NX - 1), float64(f.NY - 1), float64(f.NZ - 1)}
 	for x := 0; x < opt.Width; x++ {
 		u := (float64(x) + 0.5 - halfW) * pixScale
 		v := (halfH - float64(y) - 0.5) * pixScale
@@ -202,15 +213,16 @@ func castRow(f *grid.ScalarField, img *viz.Image, y int, center, dir, right, upv
 			Add(right.Scale(float32(u))).
 			Add(upv.Scale(float32(v))).
 			Sub(dir.Scale(float32(halfSpan)))
+		o := [3]float64{float64(origin[0]), float64(origin[1]), float64(origin[2])}
 
 		var cr, cg, cb, ca float64
-		for s := 0; s < nSamples; s++ {
+		s0, s1 := clipRay(o, d, hi, opt.Step, nSamples)
+		for s := s0; s < s1; s++ {
 			t := float64(s) * opt.Step
-			px := float64(origin[0]) + float64(dir[0])*t
-			py := float64(origin[1]) + float64(dir[1])*t
-			pz := float64(origin[2]) + float64(dir[2])*t
-			if px < 0 || py < 0 || pz < 0 ||
-				px > float64(f.NX-1) || py > float64(f.NY-1) || pz > float64(f.NZ-1) {
+			px := o[0] + d[0]*t
+			py := o[1] + d[1]*t
+			pz := o[2] + d[2]*t
+			if px < 0 || py < 0 || pz < 0 || px > hi[0] || py > hi[1] || pz > hi[2] {
 				continue
 			}
 			val := f.Sample(px, py, pz)
@@ -228,6 +240,56 @@ func castRow(f *grid.ScalarField, img *viz.Image, y int, center, dir, right, upv
 		img.Set(x, y, clamp8(cr), clamp8(cg), clamp8(cb), 0xff)
 	}
 }
+
+// clipRay intersects the ray o + d*t with the box [0, hi] slab by slab and
+// returns a sample range [s0, s1) holding every sample index s whose point
+// o + d*(s*step) can pass the marching loop's box test. The range is a
+// superset — the slabs are widened by clipSlack against the rounding of the
+// sample position, the range is padded by a sample on each side against the
+// rounding of the intersection — so the loop keeps its per-sample test and
+// the image does not depend on the clip. An axis the ray runs parallel to
+// (d == 0) constrains nothing, or rules the whole ray out when the origin
+// lies outside that slab. Comparisons are written so a NaN narrows nothing.
+func clipRay(o, d, hi [3]float64, step float64, nSamples int) (s0, s1 int) {
+	tIn, tOut := 0.0, float64(nSamples-1)*step
+	for a := 0; a < 3; a++ {
+		if d[a] == 0 {
+			if o[a] < 0 || o[a] > hi[a] {
+				return 0, 0
+			}
+			continue
+		}
+		t0, t1 := (-clipSlack-o[a])/d[a], (hi[a]+clipSlack-o[a])/d[a]
+		if t0 > t1 {
+			t0, t1 = t1, t0
+		}
+		if t0 > tIn {
+			tIn = t0
+		}
+		if t1 < tOut {
+			tOut = t1
+		}
+	}
+	first, last := tIn/step-1, tOut/step+1
+	if first < 0 {
+		first = 0
+	}
+	if last > float64(nSamples-1) {
+		last = float64(nSamples - 1)
+	}
+	if first > last {
+		return 0, 0
+	}
+	return int(first), int(last) + 1
+}
+
+// clipSlack widens the box clipRay intersects, in voxels. The marching loop
+// tests the rounded sum o + d*t, so a sample it accepts can lie outside the
+// exact box by that rounding: about 1e-12 at the largest grid the service
+// admits, and enough to hold a ray on a face it is leaving when a direction
+// component is the 6e-17 an axis-aligned camera's cos(pi/2) yields. 1e-6 is
+// far above that and admits no extra sample at any practical step.
+const clipSlack = 1e-6
 
 func clamp8(v float64) uint8 {
 	v *= 255

@@ -8,22 +8,29 @@ package render
 
 import (
 	"math"
-	"runtime"
 	"sync"
 
+	"ricsa/internal/fcp"
 	"ricsa/internal/viz"
 )
 
 // Options configures a render pass.
 type Options struct {
-	Camera  viz.Camera
-	Width   int
-	Height  int
-	Light   viz.Vec3 // view-space light direction
-	BaseR   uint8    // surface tint
-	BaseG   uint8
-	BaseB   uint8
-	Workers int // parallel raster bands; <=0 means GOMAXPROCS
+	Camera viz.Camera
+	Width  int
+	Height int
+	Light  viz.Vec3 // view-space light direction
+	BaseR  uint8    // surface tint
+	BaseG  uint8
+	BaseB  uint8
+	// Workers == 1 rasterizes on the calling goroutine; any other value runs
+	// horizontal bands of the framebuffer over the shared frame-compute pool
+	// (see package fcp), whose width bounds the parallelism.
+	Workers int
+	// Queue is the caller's lane into the frame-compute pool — a session
+	// passes its own so its bands compete fairly with other sessions'
+	// batches. Nil uses a private queue on the process default pool.
+	Queue *fcp.Queue
 	// FixedBounds, when non-nil, fits the view to this world-space box
 	// instead of the mesh's own bounding box. Monitoring applications set
 	// it to the dataset domain so surface motion stays visible across
@@ -99,46 +106,99 @@ func RenderWith(sc *viz.FrameScratch, m *viz.Mesh, opt Options) *viz.Image {
 		proj[i] = viz.Vec3{p[0] + halfW, halfH - p[1], p[2]}
 	}
 
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 1 && m.TriangleCount() >= 1024 {
-		renderParallel(m, proj, img, zbuf, light, opt, workers)
+	if opt.Workers == 1 || m.TriangleCount() < 1024 {
+		rasterBand(img, zbuf, proj, light, opt, 0, opt.Height)
 		return img
 	}
-	for t := 0; t < m.TriangleCount(); t++ {
-		rasterTriangle(img, zbuf, proj[3*t], proj[3*t+1], proj[3*t+2], light, opt, 0, opt.Height)
+	// Bands write disjoint rows and each walks the triangles in mesh order,
+	// so every pixel sees the same sequence of depth tests as the serial
+	// raster: the image is byte-identical at any pool width. The pooled state
+	// keeps the steady-state frame loop free of per-call goroutines.
+	st := bandsPool.Get().(*bandsState)
+	q := opt.Queue
+	if q == nil {
+		if st.queue == nil {
+			st.queue = fcp.Default().NewQueue()
+		}
+		q = st.queue
 	}
+	bands := minInt(bandsPerSlot*q.Slots(), opt.Height)
+	st.task = bandsTask{img: img, zbuf: zbuf, proj: proj, light: light, opt: opt,
+		rows: (opt.Height + bands - 1) / bands}
+	q.Run(bands, &st.task)
+	st.task = bandsTask{}
+	bandsPool.Put(st)
 	return img
 }
 
-// renderParallel splits the framebuffer into horizontal bands; every worker
-// rasterizes all triangles but only writes pixels inside its band, so no
-// locking is needed and output matches the serial path exactly.
-func renderParallel(m *viz.Mesh, proj []viz.Vec3, img *viz.Image, zbuf []float32, light viz.Vec3, opt Options, workers int) {
-	var wg sync.WaitGroup
-	band := (opt.Height + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		y0 := w * band
-		y1 := minInt(y0+band, opt.Height)
-		if y0 >= y1 {
-			break
-		}
-		wg.Add(1)
-		go func(y0, y1 int) {
-			defer wg.Done()
-			for t := 0; t < m.TriangleCount(); t++ {
-				rasterTriangle(img, zbuf, proj[3*t], proj[3*t+1], proj[3*t+2], light, opt, y0, y1)
-			}
-		}(y0, y1)
+// bandsPerSlot is how many bands each pool slot gets: enough that a slot
+// finishing a sparse band early picks up another, few enough that walking
+// the whole triangle list once per band stays a small share of the raster.
+const bandsPerSlot = 2
+
+// bandsState is the pooled per-call scratch of the parallel path: the task
+// the pool runs and, for callers without a queue of their own, a persistent
+// one on the default pool.
+type bandsState struct {
+	task  bandsTask
+	queue *fcp.Queue
+}
+
+// bandsTask rasterizes one horizontal band of rows per item.
+type bandsTask struct {
+	img   *viz.Image
+	zbuf  []float32
+	proj  []viz.Vec3
+	light viz.Vec3
+	opt   Options
+	rows  int // band height
+}
+
+// Run rasterizes the band'th band.
+//
+//ricsa:noalloc
+func (t *bandsTask) Run(_, band int) {
+	y0 := band * t.rows
+	rasterBand(t.img, t.zbuf, t.proj, t.light, t.opt, y0, minInt(y0+t.rows, t.opt.Height))
+}
+
+var bandsPool = sync.Pool{New: func() any { return new(bandsState) }}
+
+// rasterBand rasterizes every projected triangle into rows [y0, y1).
+func rasterBand(img *viz.Image, zbuf []float32, proj []viz.Vec3, light viz.Vec3, opt Options, y0, y1 int) {
+	for t := 0; t+2 < len(proj); t += 3 {
+		rasterTriangle(img, zbuf, proj[t], proj[t+1], proj[t+2], light, opt, y0, y1)
 	}
-	wg.Wait()
 }
 
 // rasterTriangle fills one screen-space triangle into rows [y0, y1) with
 // z-buffering and flat Lambert shading.
 func rasterTriangle(img *viz.Image, zbuf []float32, a, b, c viz.Vec3, light viz.Vec3, opt Options, y0, y1 int) {
+	// Clip to the band first: a band walks every triangle of the mesh, and
+	// most of them miss it.
+	minY := int(math.Floor(float64(min3(a[1], b[1], c[1]))))
+	maxY := int(math.Ceil(float64(max3(a[1], b[1], c[1]))))
+	if minY < y0 {
+		minY = y0
+	}
+	if maxY >= y1 {
+		maxY = y1 - 1
+	}
+	if minY > maxY {
+		return
+	}
+	minX := int(math.Floor(float64(min3(a[0], b[0], c[0]))))
+	maxX := int(math.Ceil(float64(max3(a[0], b[0], c[0]))))
+	if minX < 0 {
+		minX = 0
+	}
+	if maxX >= img.W {
+		maxX = img.W - 1
+	}
+	if minX > maxX {
+		return
+	}
+
 	// Face normal in view space for shading (screen x/y plus depth z).
 	n := b.Sub(a).Cross(c.Sub(a))
 	// Screen y is flipped; flip the normal's y back for lighting.
@@ -149,26 +209,6 @@ func rasterTriangle(img *viz.Image, zbuf []float32, a, b, c viz.Vec3, light viz.
 		lambert = -lambert // double-sided shading
 	}
 	shade := 0.2 + 0.8*float64(lambert)
-
-	minX := int(math.Floor(float64(min3(a[0], b[0], c[0]))))
-	maxX := int(math.Ceil(float64(max3(a[0], b[0], c[0]))))
-	minY := int(math.Floor(float64(min3(a[1], b[1], c[1]))))
-	maxY := int(math.Ceil(float64(max3(a[1], b[1], c[1]))))
-	if minX < 0 {
-		minX = 0
-	}
-	if maxX >= img.W {
-		maxX = img.W - 1
-	}
-	if minY < y0 {
-		minY = y0
-	}
-	if maxY >= y1 {
-		maxY = y1 - 1
-	}
-	if minX > maxX || minY > maxY {
-		return
-	}
 
 	d00 := float64(b[0]-a[0])*float64(c[1]-a[1]) - float64(c[0]-a[0])*float64(b[1]-a[1])
 	if d00 == 0 {

@@ -1,9 +1,12 @@
 package render
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 
+	"ricsa/internal/fcp"
 	"ricsa/internal/grid"
 	"ricsa/internal/viz"
 	"ricsa/internal/viz/marchingcubes"
@@ -81,18 +84,38 @@ func TestRenderRotationInvariantForSphere(t *testing.T) {
 	}
 }
 
+// TestRenderParallelMatchesSerial: bands run over the frame-compute pool —
+// at several pool widths, through a caller's queue and through the private
+// default-pool one, at a height the band count does not divide — produce the
+// serial raster's image byte for byte.
 func TestRenderParallelMatchesSerial(t *testing.T) {
 	m := sphereMesh(25, 8)
+	if m.TriangleCount() < 1024 {
+		t.Fatalf("mesh has %d triangles, under the pooled-raster threshold", m.TriangleCount())
+	}
 	opt := DefaultOptions()
-	opt.Width, opt.Height = 100, 100
+	opt.Width, opt.Height = 100, 101
+	opt.Camera = viz.Camera{Zoom: 1.3, Yaw: 0.4, Pitch: 0.3}
 	opt.Workers = 1
 	serial := Render(m, opt)
-	opt.Workers = 8
-	parallel := Render(m, opt)
-	for i := range serial.Pix {
-		if serial.Pix[i] != parallel.Pix[i] {
-			t.Fatalf("pixel byte %d differs between serial and parallel render", i)
+	if serial.NonBlackPixels() == 0 {
+		t.Fatal("serial render is empty")
+	}
+	same := func(name string, got *viz.Image) {
+		t.Helper()
+		if !bytes.Equal(serial.Pix, got.Pix) {
+			t.Fatalf("%s: image differs from the serial raster", name)
 		}
+	}
+	opt.Workers = 0
+	same("default pool", Render(m, opt))
+	for _, width := range []int{1, 2, 3, 8} {
+		pool := fcp.NewPool(width)
+		opt.Queue = pool.NewQueue()
+		var sc viz.FrameScratch
+		RenderWith(&sc, m, opt) // dirty the scratch: the second render must clear it
+		same(fmt.Sprintf("pool width %d", width), RenderWith(&sc, m, opt))
+		pool.Close()
 	}
 }
 

@@ -65,10 +65,12 @@ func (sc *FrameScratch) ReuseZBuf(n int) []float32 {
 	return sc.ZBuf
 }
 
-// ReuseProj returns the scratch projection buffer resized to n entries.
+// ReuseProj returns the scratch projection buffer resized to n entries. It
+// grows with a quarter of headroom: an evolving surface gains a few
+// triangles most frames, and an exact fit would reallocate on each.
 func (sc *FrameScratch) ReuseProj(n int) []Vec3 {
 	if cap(sc.Proj) < n {
-		sc.Proj = make([]Vec3, n)
+		sc.Proj = make([]Vec3, n, n+n/4)
 	}
 	sc.Proj = sc.Proj[:n]
 	return sc.Proj
