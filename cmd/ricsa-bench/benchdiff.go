@@ -110,10 +110,11 @@ func diffBenchJSON(basePath, newPath string) (int, error) {
 }
 
 // BenchBudget is one op's hard ceiling. Unlike the relative diff above,
-// budget violations are a non-zero exit: the ceilings are set far above any
-// healthy run (several multiples of the committed baseline), so tripping one
-// means a real stage blow-up, not runner noise. A zero MaxAllocsPerOp is a
-// real ceiling — the zero-allocation stages pin exactly that.
+// budget violations are a non-zero exit: the ceilings sit about 1.5x above
+// the committed baseline's ns/op and at its allocs/op, so tripping one on
+// the box the baseline was taken on is a regression, not noise. A zero
+// MaxAllocsPerOp is a real ceiling — the zero-allocation stages pin exactly
+// that.
 type BenchBudget struct {
 	Op             string  `json:"op"`
 	MaxNsPerOp     float64 `json:"max_ns_per_op"`

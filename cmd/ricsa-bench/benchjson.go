@@ -8,6 +8,7 @@ import (
 	"os"
 	"testing"
 
+	"ricsa/internal/cost"
 	"ricsa/internal/fcp"
 	"ricsa/internal/grid"
 	"ricsa/internal/pipeline"
@@ -308,6 +309,16 @@ func writeBenchJSON(path string) error {
 		{"optimize_cached_64node", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := cache.Optimize(g, p, 0, 63); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"optimize_tree_64node", func(b *testing.B) {
+			// The tail is one module, so the four viewers must share a
+			// neighbour to be served from one terminal: these do (node 29).
+			dsts := []int{63, 31, 15, 55}
+			for i := 0; i < b.N; i++ {
+				if _, err := pipeline.OptimizeMultiTiered(g, p, 0, dsts, cost.TierDelta); err != nil {
 					b.Fatal(err)
 				}
 			}

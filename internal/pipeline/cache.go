@@ -140,14 +140,7 @@ func (v *VRT) Clone() *VRT {
 	if v == nil {
 		return nil
 	}
-	out := &VRT{Delay: v.Delay, Groups: make([]Assignment, len(v.Groups))}
-	for i, grp := range v.Groups {
-		out.Groups[i] = Assignment{
-			Node:    grp.Node,
-			Modules: append([]string(nil), grp.Modules...),
-		}
-	}
-	return out
+	return &VRT{Delay: v.Delay, Groups: cloneGroups(v.Groups)}
 }
 
 // CacheKey identifies one optimization instance. Single-destination
@@ -193,18 +186,18 @@ type CacheStats struct {
 	Entries      int
 }
 
+// cacheEntry holds one solved instance: val is the *VRT or *VRTree the key's
+// family stores (a typed nil beside an error).
 type cacheEntry struct {
-	key  CacheKey
-	vrt  *VRT
-	tree *VRTree
-	err  error
+	key CacheKey
+	val any
+	err error
 }
 
 // inflightCall coalesces concurrent misses on the same key.
 type inflightCall struct {
 	done chan struct{}
-	vrt  *VRT
-	tree *VRTree
+	val  any
 	err  error
 }
 
@@ -247,11 +240,7 @@ func NewCache(capacity int) *Cache {
 // returned VRT is a private copy the caller may retain and mutate.
 func (c *Cache) Optimize(g *Graph, p *Pipeline, src, dst int) (*VRT, error) {
 	key := CacheKey{Graph: g.Fingerprint(), Pipe: p.Fingerprint(), Src: src, Dst: dst}
-	vrt, _, err := c.memoize(key, func() (*VRT, *VRTree, error) {
-		vrt, err := Optimize(g, p, src, dst)
-		return vrt, nil, err
-	})
-	return vrt, err
+	return memoize(c, key, func() (*VRT, error) { return Optimize(g, p, src, dst) })
 }
 
 // OptimizeMultiTiered is the memoized equivalent of the package-level
@@ -261,47 +250,58 @@ func (c *Cache) Optimize(g *Graph, p *Pipeline, src, dst int) (*VRT, error) {
 // DP, and a session re-negotiating its ladder never sees a tree solved
 // under a different budget. Concurrent misses on the same key are
 // single-flight. The returned tree is a private copy the caller may retain
-// and mutate.
+// and mutate, with its branches in this caller's deduplicated request order
+// whichever order the instance was first solved in.
 func (c *Cache) OptimizeMultiTiered(g *Graph, p *Pipeline, src int, dsts []int, maxTier cost.Tier) (*VRTree, error) {
 	key := CacheKey{Graph: g.Fingerprint(), Pipe: p.Fingerprint(), Src: src, Dst: -1,
 		Dsts: dstSetFingerprint(dsts), Tier: maxTier}
-	_, tree, err := c.memoize(key, func() (*VRT, *VRTree, error) {
-		tree, err := OptimizeMultiTiered(g, p, src, dsts, maxTier)
-		return nil, tree, err
-	})
+	tree, err := memoize(c, key, func() (*VRTree, error) { return OptimizeMultiTiered(g, p, src, dsts, maxTier) })
+	if tree != nil {
+		// The key is order-insensitive; the branch order is not.
+		placed := 0
+		for _, d := range dsts {
+			for i := placed; i < len(tree.Branches); i++ {
+				if tree.Branches[i].Dst == g.Nodes[d].Name {
+					tree.Branches[placed], tree.Branches[i] = tree.Branches[i], tree.Branches[placed]
+					placed++
+					break
+				}
+			}
+		}
+	}
 	return tree, err
 }
 
 // memoize is the LRU-hit / single-flight / store-and-evict skeleton shared
 // by both optimizer families; compute runs exactly once per missed key.
 // Returned values are private clones.
-func (c *Cache) memoize(key CacheKey, compute func() (*VRT, *VRTree, error)) (*VRT, *VRTree, error) {
+func memoize[T interface{ Clone() T }](c *Cache, key CacheKey, compute func() (T, error)) (T, error) {
 	c.mu.Lock()
 	if el, ok := c.index[key]; ok {
 		c.lru.MoveToFront(el)
 		ent := el.Value.(*cacheEntry)
 		c.hits++
 		c.mu.Unlock()
-		return ent.vrt.Clone(), ent.tree.Clone(), ent.err
+		return ent.val.(T).Clone(), ent.err
 	}
 	if call, ok := c.inflight[key]; ok {
 		c.hits++
 		c.mu.Unlock()
 		<-call.done
-		return call.vrt.Clone(), call.tree.Clone(), call.err
+		return call.val.(T).Clone(), call.err
 	}
 	c.misses++
 	call := &inflightCall{done: make(chan struct{})}
 	c.inflight[key] = call
 	c.mu.Unlock()
 
-	vrt, tree, err := compute()
+	val, err := compute()
 
 	c.mu.Lock()
-	call.vrt, call.tree, call.err = vrt, tree, err
+	call.val, call.err = val, err
 	close(call.done)
 	delete(c.inflight, key)
-	el := c.lru.PushFront(&cacheEntry{key: key, vrt: vrt, tree: tree, err: err})
+	el := c.lru.PushFront(&cacheEntry{key: key, val: val, err: err})
 	c.index[key] = el
 	for c.lru.Len() > c.capacity {
 		oldest := c.lru.Back()
@@ -309,7 +309,7 @@ func (c *Cache) memoize(key CacheKey, compute func() (*VRT, *VRTree, error)) (*V
 		delete(c.index, oldest.Value.(*cacheEntry).key)
 	}
 	c.mu.Unlock()
-	return vrt.Clone(), tree.Clone(), err
+	return val.Clone(), err
 }
 
 // Stats snapshots the effectiveness counters.

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"ricsa/internal/cost"
 )
 
 // TestParallelMatchesSerial checks that the sharded column evaluation is
@@ -17,6 +19,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 		p := RandomPipeline(rng, 6, false)
 		serial, serr := optimize(g, p, 0, 63, 1)
 		par, perr := optimize(g, p, 0, 63, 8)
+		// The tree consumes the prefix column directly: whole columns and
+		// choice tables must agree, not just the cell a destination reads.
+		split := RenderSplit(p)
+		sT, sChoice := forward(g, p, 0, split, 1)
+		pT, pChoice := forward(g, p, 0, split, 8)
+		if !reflect.DeepEqual(sT, pT) || !reflect.DeepEqual(sChoice, pChoice) {
+			t.Fatalf("seed %d: prefix column %d differs between serial and parallel", seed, split)
+		}
 		if (serr == nil) != (perr == nil) {
 			t.Fatalf("seed %d: serial err %v, parallel err %v", seed, serr, perr)
 		}
@@ -46,6 +56,14 @@ func TestAutoParallelThreshold(t *testing.T) {
 		}
 		if aerr == nil && auto.Delay != serial.Delay {
 			t.Fatalf("%d nodes: auto delay %v, serial %v", nodes, auto.Delay, serial.Delay)
+		}
+		// The tree picks its worker count the same way; the reference tree
+		// DP is serial at every size.
+		dsts := []int{nodes - 1, nodes / 2, 3}
+		tree, terr := OptimizeMultiTiered(g, p, 0, dsts, cost.TierDelta)
+		ref, rerr := refOptimizeMultiTiered(g, p, 0, dsts, cost.TierDelta)
+		if !sameErr(terr, rerr) || !reflect.DeepEqual(tree, ref) {
+			t.Fatalf("%d nodes: auto tree %v (%v), serial reference %v (%v)", nodes, tree, terr, ref, rerr)
 		}
 	}
 }

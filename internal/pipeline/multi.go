@@ -15,14 +15,16 @@ import (
 // simulation and rendering cost is paid once, and only the per-destination
 // branches differ.
 //
-// The optimization is exact for this tree shape: a forward dynamic program
-// (the Eq. 9-10 recursion) prices every candidate shared terminal, a
-// backward dynamic program per destination prices every tail from every
-// candidate terminal, and the terminal minimizing the *slowest* branch —
-// the delay that gates the monitoring loop when every viewer must receive
-// the frame — is selected. With a single destination the minimax objective
-// degenerates to the plain shortest loop, so a one-destination tree has the
-// same delay as Optimize(g, p, src, d).
+// The optimization is exact for this tree shape: the forward dynamic program
+// (forward, the one Eq. 9-10 recursion Optimize also runs) prices every
+// candidate shared terminal, a backward dynamic program per destination
+// prices every tail from every candidate terminal, and the terminal
+// minimizing the *slowest* branch — the delay that gates the monitoring loop
+// when every viewer must receive the frame — is selected. With a single
+// destination the minimax objective degenerates to the plain shortest loop,
+// so a one-destination full-resolution tree picks Optimize(g, p, src, d)'s
+// placement; its delay is the same sum associated as prefix + tail, which can
+// differ from Optimize's left-to-right sum in the last bits.
 
 // VRTBranch is one per-destination delivery branch of a VRTree.
 type VRTBranch struct {
@@ -208,7 +210,8 @@ func tierScaledPipeline(p *Pipeline, split int, t cost.Tier) *Pipeline {
 // objective only, never in the reported delay), preferring higher fidelity
 // on ties. With maxTier == TierFull only the full-resolution rung is
 // enumerated, every branch delivers at full resolution, and over one
-// destination the result is exactly Optimize's.
+// destination the mapping is Optimize's (the delay to within rounding: see
+// the file comment).
 func OptimizeMultiTiered(g *Graph, p *Pipeline, src int, dsts []int, maxTier cost.Tier) (*VRTree, error) {
 	nNodes := len(g.Nodes)
 	n := len(p.Modules)
@@ -235,68 +238,15 @@ func OptimizeMultiTiered(g *Graph, p *Pipeline, src int, dsts []int, maxTier cos
 	split := RenderSplit(p)
 
 	// Forward prefix DP: P[v] is the minimal delay of mapping the shared
-	// prefix (modules [0, split)) onto a path from src ending at v, with
-	// full backtrack choices. For split == 0 the "prefix" is just the raw
-	// dataset sitting at the source.
-	P := make([]float64, nNodes)
-	choice := make([][]int32, split)
-	for v := range P {
-		P[v] = math.Inf(1)
-	}
-	if split == 0 {
-		P[src] = 0
-	} else {
-		in := inEdgeIndex(g)
-		choice[0] = make([]int32, nNodes)
-		for v := range choice[0] {
-			choice[0][v] = -1
-		}
-		if ct := computeTime(g, p, 0, src); !math.IsInf(ct, 1) {
-			P[src] = ct
-			choice[0][src] = int32(src)
-		}
-		for _, e := range g.Adj[src] {
-			cand := computeTime(g, p, 0, e.To) + transferTime(g, p, 0, e)
-			if cand < P[e.To] {
-				P[e.To] = cand
-				choice[0][e.To] = int32(src)
-			}
-		}
-		T := make([]float64, nNodes)
-		for j := 1; j < split; j++ {
-			choice[j] = make([]int32, nNodes)
-			for v := 0; v < nNodes; v++ {
-				T[v] = math.Inf(1)
-				choice[j][v] = -1
-				ct := computeTime(g, p, j, v)
-				if math.IsInf(ct, 1) {
-					continue
-				}
-				if best := P[v] + ct; best < T[v] {
-					T[v] = best
-					choice[j][v] = int32(v)
-				}
-				for _, ie := range in[v] {
-					u := int(ie.From)
-					if u == v || math.IsInf(P[u], 1) {
-						continue
-					}
-					if cand := P[u] + ct + transferTime(g, p, j, ie.E); cand < T[v] {
-						T[v] = cand
-						choice[j][v] = ie.From
-					}
-				}
-			}
-			P, T = T, P
-		}
-	}
+	// prefix (modules [0, split)) onto a path from src ending at v.
+	P, choice := forward(g, p, src, split, autoWorkers(nNodes))
 
 	// Backward tail DP per (destination, tier): B[v] is the minimal delay
 	// of mapping the tail modules [split, n) given their input resides at
 	// v, ending with the last module at the destination, with the tail
 	// payloads scaled to the tier. The recursion mirrors the forward one
-	// exactly (at most one edge crossing per module), so a full-resolution
-	// tree over one destination prices identically to Optimize.
+	// (at most one edge crossing per module), so a full-resolution tree
+	// over one destination picks Optimize's mapping.
 	nTiers := int(maxTier) + 1
 	scaledP := make([]*Pipeline, nTiers)
 	for t := 0; t < nTiers; t++ {
@@ -394,33 +344,11 @@ func OptimizeMultiTiered(g *Graph, p *Pipeline, src int, dsts []int, maxTier cos
 		return nil, ErrNoFeasibleMapping
 	}
 
-	tree := &VRTree{SharedDelay: P[vstar]}
-
-	// Shared groups: backtrack the prefix path ending at vstar.
-	prefixNodes := make([]int, split)
-	cur := vstar
-	for j := split - 1; j >= 0; j-- {
-		prev := int(choice[j][cur])
-		if prev < 0 {
-			return nil, fmt.Errorf("pipeline: broken tree backtrack at module %d", j)
-		}
-		prefixNodes[j] = cur
-		cur = prev
+	prefixNodes, err := backtrack(g, src, vstar, choice)
+	if err != nil {
+		return nil, err
 	}
-	if cur != src {
-		return nil, fmt.Errorf("pipeline: tree backtrack ended at %s, want source %s",
-			g.Nodes[cur].Name, g.Nodes[src].Name)
-	}
-	tree.Shared = append(tree.Shared, Assignment{Node: g.Nodes[src].Name, Modules: []string{"Source"}})
-	cur = src
-	for k, v := range prefixNodes {
-		if v != cur {
-			tree.Shared = append(tree.Shared, Assignment{Node: g.Nodes[v].Name})
-			cur = v
-		}
-		last := &tree.Shared[len(tree.Shared)-1]
-		last.Modules = append(last.Modules, p.Modules[k].Name)
-	}
+	tree := &VRTree{SharedDelay: P[vstar], Shared: buildVRT(g, p, src, prefixNodes, P[vstar]).Groups}
 
 	// Branches: replay each destination's tail decisions from vstar at its
 	// adopted tier.

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -264,5 +265,53 @@ func TestCacheOptimizeMultiTiered(t *testing.T) {
 	wg.Wait()
 	if st := c2.Stats(); st.Misses != 1 {
 		t.Fatalf("concurrent consults ran the DP %d times, want 1", st.Misses)
+	}
+}
+
+// TestCacheTreeBranchOrderFollowsCaller: the cache key is order-insensitive,
+// so a hit must still come back in the *caller's* deduplicated request order
+// — the order the uncached solver documents — not the first caller's.
+func TestCacheTreeBranchOrderFollowsCaller(t *testing.T) {
+	g, p := fanSetup()
+	g.Rev = NextGraphRev()
+	set := []int{1, 2, 3, 4} // the hub and the three viewer hosts
+	c := NewCache(0)
+	if _, err := c.OptimizeMultiTiered(g, p, 0, set, cost.TierDelta); err != nil {
+		t.Fatal(err)
+	}
+	var permute func(k int, visit func([]int))
+	permute = func(k int, visit func([]int)) {
+		if k == len(set) {
+			visit(set)
+			return
+		}
+		for i := k; i < len(set); i++ {
+			set[k], set[i] = set[i], set[k]
+			permute(k+1, visit)
+			set[k], set[i] = set[i], set[k]
+		}
+	}
+	perms := 0
+	permute(0, func(order []int) {
+		perms++
+		for _, dsts := range [][]int{
+			append([]int(nil), order...),
+			{order[0], order[1], order[0], order[2], order[3], order[1]}, // repeats keep first position
+		} {
+			want, err := OptimizeMultiTiered(g, p, 0, dsts, cost.TierDelta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.OptimizeMultiTiered(g, p, 0, dsts, cost.TierDelta)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("dsts %v: cached %v, direct %v", dsts, got, want)
+			}
+		}
+	})
+	if st := c.Stats(); perms != 24 || st.Misses != 1 || st.Hits != 48 {
+		t.Fatalf("%d permutations, cache %+v: want 24 permutations answered by 1 miss and 48 hits", perms, st)
 	}
 }

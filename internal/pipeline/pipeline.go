@@ -281,9 +281,7 @@ func Optimize(g *Graph, p *Pipeline, src, dst int) (*VRT, error) {
 }
 
 // optimize is Optimize at an explicit worker count (<= 1 is the serial
-// path). Within a column j every T^j(v) depends only on column j-1, so the
-// per-node loop shards across workers without synchronization beyond the
-// column barrier; results are identical to the serial path.
+// path); results are identical at every count.
 func optimize(g *Graph, p *Pipeline, src, dst, workers int) (*VRT, error) {
 	nNodes := len(g.Nodes)
 	n := len(p.Modules)
@@ -293,21 +291,43 @@ func optimize(g *Graph, p *Pipeline, src, dst, workers int) (*VRT, error) {
 	if n == 0 {
 		return nil, errors.New("pipeline: empty module list")
 	}
-	in := inEdgeIndex(g)
+	T, choice := forward(g, p, src, n, workers)
+	if math.IsInf(T[dst], 1) {
+		return nil, ErrNoFeasibleMapping
+	}
+	nodes, err := backtrack(g, src, dst, choice)
+	if err != nil {
+		return nil, err
+	}
+	return buildVRT(g, p, src, nodes, T[dst]), nil
+}
 
+// forward is the Eq. 9 recursion, the only copy: it returns column upTo of
+// the dynamic program — T[v], the minimal delay of mapping modules [0, upTo)
+// onto a path from src ending at v — and choice[j][v], the node module j's
+// input came from (v itself for direct inheritance, -1 when unreachable).
+// upTo == 0 is the raw dataset sitting at the source. Within a column j
+// every T^j(v) depends only on column j-1, so with workers > 1 the per-node
+// loop shards across goroutines without synchronization beyond the column
+// barrier; the result does not depend on the worker count.
+func forward(g *Graph, p *Pipeline, src, upTo, workers int) ([]float64, [][]int32) {
+	nNodes := len(g.Nodes)
 	// T[v] holds T^j(v) for the current column j; prevT the previous one.
 	T := make([]float64, nNodes)
 	prevT := make([]float64, nNodes)
-	// choice[j][v] = node that module j's input came from (v itself for
-	// direct inheritance).
-	choice := make([][]int32, n)
+	choice := make([][]int32, upTo)
+	for v := range prevT {
+		prevT[v] = math.Inf(1)
+	}
+	if upTo == 0 {
+		prevT[src] = 0
+		return prevT, choice
+	}
+	in := inEdgeIndex(g)
 
 	// Base column j = 0 (the paper's j = 1, message m_1 feeding M_2):
 	// T^1(v) = c_2 m_1 / p_v + m_1 / b_{src,v} for v adjacent to src,
 	// c_2 m_1 / p_src for v = src, +Inf otherwise.
-	for v := range prevT {
-		prevT[v] = math.Inf(1)
-	}
 	choice[0] = make([]int32, nNodes)
 	for v := range choice[0] {
 		choice[0][v] = -1
@@ -324,8 +344,8 @@ func optimize(g *Graph, p *Pipeline, src, dst, workers int) (*VRT, error) {
 		}
 	}
 
-	// Recursion: Eq. 9. relax computes one column slice [lo, hi); slices
-	// only read prevT and write disjoint ranges of T and ch.
+	// relax computes one column slice [lo, hi); slices only read prevT and
+	// write disjoint ranges of T and ch.
 	relax := func(j int, ch []int32, T, prevT []float64, lo, hi int) {
 		for v := lo; v < hi; v++ {
 			T[v] = math.Inf(1)
@@ -353,7 +373,7 @@ func optimize(g *Graph, p *Pipeline, src, dst, workers int) (*VRT, error) {
 			}
 		}
 	}
-	for j := 1; j < n; j++ {
+	for j := 1; j < upTo; j++ {
 		choice[j] = make([]int32, nNodes)
 		if workers <= 1 {
 			relax(j, choice[j], T, prevT, 0, nNodes)
@@ -375,16 +395,15 @@ func optimize(g *Graph, p *Pipeline, src, dst, workers int) (*VRT, error) {
 		}
 		T, prevT = prevT, T
 	}
+	return prevT, choice
+}
 
-	total := prevT[dst]
-	if math.IsInf(total, 1) {
-		return nil, ErrNoFeasibleMapping
-	}
-
-	// Backtrack the node of every module.
-	nodes := make([]int, n)
-	cur := dst
-	for j := n - 1; j >= 0; j-- {
+// backtrack replays forward's choices from end back to src and returns the
+// node of every module in [0, len(choice)).
+func backtrack(g *Graph, src, end int, choice [][]int32) ([]int, error) {
+	nodes := make([]int, len(choice))
+	cur := end
+	for j := len(choice) - 1; j >= 0; j-- {
 		prev := int(choice[j][cur])
 		if prev < 0 {
 			return nil, fmt.Errorf("pipeline: broken backtrack at module %d", j)
@@ -396,10 +415,10 @@ func optimize(g *Graph, p *Pipeline, src, dst, workers int) (*VRT, error) {
 		return nil, fmt.Errorf("pipeline: backtrack ended at %s, want source %s",
 			g.Nodes[cur].Name, g.Nodes[src].Name)
 	}
-	return buildVRT(g, p, src, nodes, total), nil
+	return nodes, nil
 }
 
-// buildVRT groups consecutive modules by node.
+// buildVRT groups consecutive modules by node, behind the source group.
 func buildVRT(g *Graph, p *Pipeline, src int, nodes []int, total float64) *VRT {
 	vrt := &VRT{Delay: total}
 	vrt.Groups = append(vrt.Groups, Assignment{

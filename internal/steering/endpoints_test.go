@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"ricsa/internal/cost"
 	"ricsa/internal/netsim"
 	"ricsa/internal/pipeline"
 )
@@ -39,13 +40,13 @@ func TestEndpointMatrix(t *testing.T) {
 			waitUntil(t, fmt.Sprintf("%s->%s consultation", src, dst), func() bool {
 				return s.Reoptimizations() >= 1
 			})
-			vrt := s.VRT()
-			if vrt == nil {
+			tree := s.Tree()
+			if tree == nil {
 				t.Fatalf("%s->%s: no mapping (optimize_error=%v)", src, dst, s.Status()["optimize_error"])
 			}
-			path := vrt.Path()
-			if path[0] != src || path[len(path)-1] != dst {
-				t.Fatalf("%s->%s: VRT path %v ignores the requested endpoints", src, dst, path)
+			path := tree.BranchPath(0)
+			if len(tree.Branches) != 1 || path[0] != src || path[len(path)-1] != dst {
+				t.Fatalf("%s->%s: mapping %v ignores the requested endpoints", src, dst, tree)
 			}
 			// The session delivers a frame over that mapping.
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -96,9 +97,6 @@ func TestMultiViewerSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, "tree consultation", func() bool { return s.Reoptimizations() >= 1 })
-	if s.VRT() != nil {
-		t.Fatal("multi-viewer session installed a linear VRT")
-	}
 	tree := s.Tree()
 	if tree == nil {
 		t.Fatalf("no tree installed (optimize_error=%v)", s.Status()["optimize_error"])
@@ -184,11 +182,11 @@ func TestConsultErrorRetriesNextFrame(t *testing.T) {
 	real := m.optFn
 	var failing atomic.Bool
 	failing.Store(true)
-	m.optFn = func(p *pipeline.Pipeline, src, dst string) (*pipeline.VRT, error) {
+	m.optFn = func(p *pipeline.Pipeline, src string, dsts []string, maxTier cost.Tier) (*pipeline.VRTree, error) {
 		if failing.Load() {
 			return nil, errors.New("injected optimizer failure")
 		}
-		return real(p, src, dst)
+		return real(p, src, dsts, maxTier)
 	}
 
 	s, err := m.CreateTuned(smallRequest(), 3*time.Millisecond, 48, 48)
@@ -215,7 +213,7 @@ func TestConsultErrorRetriesNextFrame(t *testing.T) {
 	if frames := s.Status()["frame_seq"].(uint64) - seqAtHeal; frames > 8 {
 		t.Fatalf("retry took %d frames after healing; want immediate (schedule is 64)", frames)
 	}
-	if s.VRT() == nil {
+	if s.Tree() == nil {
 		t.Fatal("no mapping installed after heal")
 	}
 	if st := s.Status(); st["optimize_error"] != nil {

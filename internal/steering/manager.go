@@ -136,11 +136,10 @@ type SessionManager struct {
 	cm  *cm.Manager
 	clk clock.Clock
 
-	// optFn/optMultiFn are the CM consultation entry points, split out as
-	// fields so tests can inject optimizer failures; they default to the
-	// shared cm.Manager's memoized optimizers.
-	optFn      func(p *pipeline.Pipeline, srcName, dstName string) (*pipeline.VRT, error)
-	optMultiFn func(p *pipeline.Pipeline, srcName string, dstNames []string, maxTier cost.Tier) (*pipeline.VRTree, error)
+	// optFn is the CM consultation entry point, split out as a field so
+	// tests can inject optimizer failures; it defaults to the shared
+	// cm.Manager's memoized tree optimizer.
+	optFn func(p *pipeline.Pipeline, srcName string, dstNames []string, maxTier cost.Tier) (*pipeline.VRTree, error)
 
 	tel  *telemetry.Collector
 	pool *fcp.Pool
@@ -202,8 +201,7 @@ func NewSessionManager(cfg ManagerConfig) *SessionManager {
 		Clock:              cfg.Clock,
 		Transport:          cfg.TransportMode,
 	})
-	m.optFn = m.cm.Optimize
-	m.optMultiFn = m.cm.OptimizeMultiTiered
+	m.optFn = m.cm.OptimizeMultiTiered
 	m.cm.Start()
 	return m
 }

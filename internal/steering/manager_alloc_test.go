@@ -43,7 +43,7 @@ func TestProduceAllocationFlat(t *testing.T) {
 	if s.Renders() == 0 {
 		t.Fatal("warm-up frames did not render")
 	}
-	if s.VRT() == nil {
+	if s.Tree() == nil {
 		t.Fatal("warm-up frames did not install a mapping")
 	}
 

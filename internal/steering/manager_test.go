@@ -182,7 +182,7 @@ func TestSharedCacheAcrossSessions(t *testing.T) {
 	}
 	for _, s := range sessions {
 		waitUntil(t, "first CM consultation", func() bool { return s.Reoptimizations() >= 2 })
-		if vrt := s.VRT(); vrt == nil || len(vrt.Groups) == 0 {
+		if tree := s.Tree(); tree == nil || len(tree.Branches) != 1 {
 			t.Fatal("session has no mapping after consultation")
 		}
 	}
@@ -272,12 +272,12 @@ func TestPredictedDelayChargedToPacing(t *testing.T) {
 			t.Fatal(err)
 		}
 		clk.AwaitArmed(1) // first produce done (it consults: pipe == nil), timer parked
-		vrt := s.VRT()
-		if vrt == nil {
+		tree := s.Tree()
+		if tree == nil {
 			t.Fatal("no mapping installed after the first frame")
 		}
 		clk.Advance(700 * time.Millisecond)
-		return s.Status()["frame_seq"].(uint64), vrt.Delay
+		return s.Status()["frame_seq"].(uint64), tree.Delay
 	}
 
 	fastFrames, fastDelay := frameRate(false)
@@ -317,7 +317,7 @@ func TestAdaptationUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitUntil(t, "first consultation", func() bool { return s.Reoptimizations() >= 1 })
-	before := s.VRT()
+	before := s.Tree()
 
 	// Viewer long-polls through the whole churn, checking monotonicity.
 	viewerCtx, stopViewer := context.WithCancel(context.Background())
@@ -340,7 +340,7 @@ func TestAdaptationUnderChurn(t *testing.T) {
 
 	// Collapse every link the installed mapping uses, then register the
 	// drift with a full sweep (standing in for enough prober ticks).
-	path := before.Path()
+	path := before.BranchPath(0)
 	for i := 0; i+1 < len(path); i++ {
 		l := m.CM().Network().FindLink(path[i], path[i+1])
 		if l == nil {
@@ -353,8 +353,8 @@ func TestAdaptationUnderChurn(t *testing.T) {
 
 	waitUntil(t, "adapter-forced reconfiguration", func() bool { return s.Adaptations() >= 1 })
 	waitUntil(t, "new mapping installed", func() bool {
-		vrt := s.VRT()
-		return vrt != nil && vrt.Delay != before.Delay
+		tree := s.Tree()
+		return tree != nil && tree.Delay != before.Delay
 	})
 	if m.CM().Adaptations() == 0 {
 		t.Fatal("manager-level adaptation counter never advanced")

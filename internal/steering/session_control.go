@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"ricsa/internal/cost"
 	"ricsa/internal/grid"
 	"ricsa/internal/pipeline"
 	"ricsa/internal/simengine"
@@ -14,43 +15,31 @@ import (
 // (consultCM), the steering commands that travel back from the viewer
 // (Steer), and the status/introspection accessors.
 
-// monitor is the session's monitor→adapt step: it re-evaluates the
-// installed placement under the CM's *current* graph (which the Prober
-// keeps fresh) and feeds the result to the Adapter. In multi-viewer mode
-// every branch of the tree is re-priced and the slowest governs, matching
-// what period charges. A placement whose re-predicted delay deviates from
-// its at-install prediction for AdaptWindow consecutive frames forces an
-// early consultation.
-func (s *ManagedSession) monitor(pipe *pipeline.Pipeline, vrt *pipeline.VRT, tree *pipeline.VRTree) bool {
+// monitor is the session's monitor→adapt step: it re-evaluates every branch
+// of the installed tree under the CM's *current* graph (which the Prober
+// keeps fresh) and feeds the slowest — what period charges — to the Adapter.
+// A tree whose re-predicted delay deviates from its at-install prediction
+// for AdaptWindow consecutive frames forces an early consultation.
+func (s *ManagedSession) monitor(pipe *pipeline.Pipeline, tree *pipeline.VRTree) bool {
 	s.mu.Lock()
 	src := s.req.SourceNode
 	// Placements are cached at install time so this per-frame re-pricing
-	// does not rebuild node-name slices from the VRT every frame.
-	place, places := s.place, s.places
+	// does not rebuild node-name slices from the tree every frame.
+	places := s.places
 	s.mu.Unlock()
-	var observed, predicted float64
-	if tree != nil {
-		predicted = tree.Delay
-		for _, pl := range places {
-			d, err := s.mgr.cm.PredictPlacement(pipe, src, pl)
-			if err != nil {
-				d = math.Inf(1)
-			}
-			if d > observed {
-				observed = d
-			}
-		}
-	} else {
-		predicted = vrt.Delay
-		var err error
-		observed, err = s.mgr.cm.PredictPlacement(pipe, src, place)
+	var observed float64
+	for _, pl := range places {
+		d, err := s.mgr.cm.PredictPlacement(pipe, src, pl)
 		if err != nil {
 			// The placement no longer evaluates (a topology change): treat
 			// as an unbounded deviation so the window logic still applies.
-			observed = math.Inf(1)
+			d = math.Inf(1)
+		}
+		if d > observed {
+			observed = d
 		}
 	}
-	if !s.adapter.Observe(observed, predicted) {
+	if !s.adapter.Observe(observed, tree.Delay) {
 		return false
 	}
 	s.mu.Lock()
@@ -60,12 +49,13 @@ func (s *ManagedSession) monitor(pipe *pipeline.Pipeline, vrt *pipeline.VRT, tre
 }
 
 // consultCM rebuilds the session's pipeline model when its cost inputs
-// changed (a new isovalue) and asks the CM for a mapping between the
-// request's endpoints: a path to the single ClientNode, or a shared
-// routing tree over ClientNodes in multi-viewer mode, solved under the
-// manager's tier budget. Unchanged (graph, pipeline, endpoints) instances
-// are answered from the shared cache. A failed consultation keeps the
-// session past due so the next frame retries immediately, and does not
+// changed (a new isovalue) and asks the CM for a routing tree from the
+// source to the request's destinations. A ClientNodes session is solved
+// under the manager's tier budget; a lone ClientNode gets a one-branch tree
+// at full resolution, so the optimizer never degrades a single viewer that
+// did not negotiate a tier itself. Unchanged (graph, pipeline, endpoints)
+// instances are answered from the shared cache. A failed consultation keeps
+// the session past due so the next frame retries immediately, and does not
 // count as a re-optimization.
 func (s *ManagedSession) consultCM(field *grid.ScalarField, req Request) {
 	s.mu.Lock()
@@ -77,14 +67,11 @@ func (s *ManagedSession) consultCM(field *grid.ScalarField, req Request) {
 		st := AnalyzeDataset(field, req.Simulator, req.BlockEdge, req.Isovalue)
 		pipe = BuildIsoPipeline(st)
 	}
-	var vrt *pipeline.VRT
-	var tree *pipeline.VRTree
-	var err error
-	if len(req.ClientNodes) > 0 {
-		tree, err = s.mgr.optMultiFn(pipe, req.SourceNode, req.ClientNodes, s.mgr.cfg.MaxTier)
-	} else {
-		vrt, err = s.mgr.optFn(pipe, req.SourceNode, req.ClientNode)
+	maxTier := s.mgr.cfg.MaxTier
+	if len(req.ClientNodes) == 0 {
+		maxTier = cost.TierFull
 	}
+	tree, err := s.mgr.optFn(pipe, req.SourceNode, req.Destinations(), maxTier)
 
 	s.mu.Lock()
 	if s.pipeGen != gen {
@@ -105,15 +92,10 @@ func (s *ManagedSession) consultCM(field *grid.ScalarField, req Request) {
 		s.mu.Unlock()
 		return
 	}
-	s.vrt, s.tree = vrt, tree
-	s.place, s.places = nil, nil
-	if tree != nil {
-		s.places = make([][]string, len(tree.Branches))
-		for i := range tree.Branches {
-			s.places[i] = tree.BranchPlacement(i)
-		}
-	} else {
-		s.place = PlacementFromVRT(vrt)
+	s.tree = tree
+	s.places = make([][]string, len(tree.Branches))
+	for i := range tree.Branches {
+		s.places[i] = tree.BranchPlacement(i)
 	}
 	s.reopts++
 	s.sinceOpt = 0
@@ -204,7 +186,13 @@ func (s *ManagedSession) Status() map[string]any {
 		"max_tier":        s.mgr.cfg.MaxTier.String(),
 	}
 	if s.tree != nil {
-		st["vrt_path"] = s.tree.SharedPath()
+		// A lone viewer's path runs source → client; a fan-out reports the
+		// shared prefix here and each branch's full path below.
+		if len(s.tree.Branches) == 1 {
+			st["vrt_path"] = s.tree.BranchPath(0)
+		} else {
+			st["vrt_path"] = s.tree.SharedPath()
+		}
 		st["vrt_delay_s"] = s.tree.Delay
 		st["tree_shared_delay_s"] = s.tree.SharedDelay
 		branches := make([]map[string]any, len(s.tree.Branches))
@@ -215,9 +203,6 @@ func (s *ManagedSession) Status() map[string]any {
 			}
 		}
 		st["tree_branches"] = branches
-	} else if s.vrt != nil {
-		st["vrt_path"] = s.vrt.Path()
-		st["vrt_delay_s"] = s.vrt.Delay
 	}
 	if s.optErr != nil {
 		st["optimize_error"] = s.optErr.Error()
@@ -235,43 +220,30 @@ func (s *ManagedSession) Request() Request {
 	return s.req
 }
 
-// VRT returns the session's current mapping (may be nil before the first
-// CM consultation completes, and always nil in multi-viewer mode).
-func (s *ManagedSession) VRT() *pipeline.VRT {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.vrt.Clone()
-}
-
-// Tree returns the session's current routing tree (nil before the first CM
-// consultation completes, and always nil in single-viewer mode).
+// Tree returns the session's current routing tree — one branch for a lone
+// ClientNode, one per host for ClientNodes — or nil before the first CM
+// consultation completes.
 func (s *ManagedSession) Tree() *pipeline.VRTree {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.tree.Clone()
 }
 
-// Mapping returns the installed mapping's cost inputs for external
+// Mapping returns the installed tree's cost inputs for external
 // re-pricing — the scenario engine's frame-delay-vs-prediction invariant
 // re-evaluates placements under both the CM's estimate graph and the
 // emulated network's ground truth. It reports the pipeline model, the
-// source node, one placement per delivery branch (a single-viewer session
-// has exactly one), and the at-install predicted delay. ok is false before
-// the first successful consultation. The returned pipeline and placements
-// are live references treated as immutable by all holders.
+// source node, one placement per delivery branch, and the at-install
+// predicted delay. ok is false before the first successful consultation.
+// The returned pipeline and placements are live references treated as
+// immutable by all holders.
 func (s *ManagedSession) Mapping() (pipe *pipeline.Pipeline, src string, placements [][]string, predicted float64, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.pipe == nil {
+	if s.pipe == nil || s.tree == nil {
 		return nil, "", nil, 0, false
 	}
-	switch {
-	case s.tree != nil:
-		return s.pipe, s.req.SourceNode, s.places, s.tree.Delay, true
-	case s.vrt != nil:
-		return s.pipe, s.req.SourceNode, [][]string{s.place}, s.vrt.Delay, true
-	}
-	return nil, "", nil, 0, false
+	return s.pipe, s.req.SourceNode, s.places, s.tree.Delay, true
 }
 
 // Viewers reports the currently attached viewer count (tracked and

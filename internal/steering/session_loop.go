@@ -74,9 +74,10 @@ type ManagedSession struct {
 	// lateNS is how far past its scheduled cadence the next frame will
 	// start (the previous frame overran its period). Written by nextDelay
 	// and read by produce on the lifecycle goroutine only.
-	lateNS    int64
-	vrt       *pipeline.VRT    // installed mapping (single-viewer mode)
-	tree      *pipeline.VRTree // installed routing tree (multi-viewer mode)
+	lateNS int64
+	// tree is the installed mapping: always a routing tree, with one branch
+	// for a lone ClientNode.
+	tree      *pipeline.VRTree
 	optErr    error
 	renderErr error
 	reopts    int // successful CM consultations
@@ -89,10 +90,9 @@ type ManagedSession struct {
 	// pipeline can never be installed over a fresher reset.
 	pipeGen uint64
 	adapter *cm.Adapter
-	// place/places cache the installed mapping's placement node names
-	// (single-viewer path, or one per tree branch) so the per-frame monitor
-	// re-pricing does not rebuild them from the VRT every frame.
-	place  []string
+	// places caches the installed tree's placement node names, one per
+	// branch, so the per-frame monitor re-pricing does not rebuild them from
+	// the tree every frame.
 	places [][]string
 
 	// scratch is the producer-owned frame data plane: mesh arena,
@@ -197,7 +197,7 @@ func newManagedSession(m *SessionManager, req Request) (*ManagedSession, error) 
 }
 
 // run is the session's lifecycle goroutine. Pacing is re-derived per frame:
-// the installed VRT's predicted end-to-end delay is charged on top of the
+// the installed tree's predicted end-to-end delay is charged on top of the
 // base frame period, so a session whose mapping delivers slowly publishes
 // slowly — the paper's "the simulation does not proceed until the image
 // from the last time step is delivered", with the emulated delivery time
@@ -237,18 +237,14 @@ func (s *ManagedSession) nextDelay(elapsed time.Duration) time.Duration {
 }
 
 // period is the effective frame period: the base pacing plus the installed
-// mapping's predicted delivery delay — in multi-viewer mode the tree's
-// slowest branch, since the loop must not advance before every viewer has
-// the previous image.
+// tree's predicted delivery delay — its slowest branch, since the loop must
+// not advance before every viewer has the previous image.
 func (s *ManagedSession) period() time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.FramePeriod
-	switch {
-	case s.tree != nil && s.tree.Delay > 0:
+	if s.tree != nil && s.tree.Delay > 0 {
 		p += time.Duration(s.tree.Delay * float64(time.Second))
-	case s.vrt != nil && s.vrt.Delay > 0:
-		p += time.Duration(s.vrt.Delay * float64(time.Second))
 	}
 	return p
 }
@@ -274,7 +270,6 @@ type frame struct {
 	req   Request
 	due   bool
 	pipe  *pipeline.Pipeline
-	vrt   *pipeline.VRT
 	tree  *pipeline.VRTree
 	field *grid.ScalarField
 
@@ -321,7 +316,7 @@ func (s *ManagedSession) advance(f *frame) {
 	s.mu.Lock()
 	f.req = s.req
 	f.due = s.pipe == nil || s.sinceOpt >= s.mgr.cfg.ReoptimizeEvery
-	f.pipe, f.vrt, f.tree = s.pipe, s.vrt, s.tree
+	f.pipe, f.tree = s.pipe, s.tree
 	// Take the producer's snapshot buffer (nil when the previous frame's
 	// snapshot is stashed in latest and may still be read by a lazy render).
 	f.field = s.fieldScratch
@@ -345,7 +340,7 @@ func (s *ManagedSession) advance(f *frame) {
 //
 //ricsa:noalloc
 func (s *ManagedSession) control(f *frame) {
-	if !f.due && f.pipe != nil && (f.vrt != nil || f.tree != nil) && s.monitor(f.pipe, f.vrt, f.tree) {
+	if !f.due && f.pipe != nil && f.tree != nil && s.monitor(f.pipe, f.tree) {
 		f.due = true
 	}
 	if f.due {
@@ -493,24 +488,21 @@ func (s *ManagedSession) broadcastLocked() {
 	s.notify = make(chan struct{})
 }
 
-// fillDeliveryLocked copies the installed mapping's per-branch predicted
+// fillDeliveryLocked copies the installed tree's per-branch predicted
 // delivery delays into the frame record (the slowest overflow branch
 // lands in the last slot when the tree fans out past MaxBranches).
 func (s *ManagedSession) fillDeliveryLocked(rec *telemetry.FrameRecord) {
-	switch {
-	case s.tree != nil:
-		for i := range s.tree.Branches {
-			ns := int64(s.tree.Branches[i].Delay * float64(time.Second))
-			if i < telemetry.MaxBranches {
-				rec.Delivery[i] = ns
-				rec.Branches = i + 1
-			} else if ns > rec.Delivery[telemetry.MaxBranches-1] {
-				rec.Delivery[telemetry.MaxBranches-1] = ns
-			}
+	if s.tree == nil {
+		return
+	}
+	for i := range s.tree.Branches {
+		ns := int64(s.tree.Branches[i].Delay * float64(time.Second))
+		if i < telemetry.MaxBranches {
+			rec.Delivery[i] = ns
+			rec.Branches = i + 1
+		} else if ns > rec.Delivery[telemetry.MaxBranches-1] {
+			rec.Delivery[telemetry.MaxBranches-1] = ns
 		}
-	case s.vrt != nil:
-		rec.Delivery[0] = int64(s.vrt.Delay * float64(time.Second))
-		rec.Branches = 1
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ricsa/internal/cost"
+	"ricsa/internal/pipeline"
 	"ricsa/internal/viz"
 )
 
@@ -238,5 +239,56 @@ func TestViewerTierFallbackBeforeEncode(t *testing.T) {
 	defer s.mu.Unlock()
 	if s.tierSeq[cost.TierHalf] != staleSeq {
 		t.Fatal("undemanded tier kept encoding after its last viewer closed")
+	}
+}
+
+// TestLoneClientTreeStaysFullResolution: every session's mapping is a tree,
+// but a lone ClientNode is consulted at TierFull whatever the manager's
+// budget — the one rule that separates it from a ClientNodes session — so
+// its single branch is never degraded, no reduced tier is encoded without a
+// viewer negotiating one, and the status path still runs source → client.
+func TestLoneClientTreeStaysFullResolution(t *testing.T) {
+	m, s := newTierTestSession(t, cost.TierDelta)
+	real := m.optFn
+	var asked []cost.Tier
+	m.optFn = func(p *pipeline.Pipeline, src string, dsts []string, maxTier cost.Tier) (*pipeline.VRTree, error) {
+		asked = append(asked, maxTier)
+		return real(p, src, dsts, maxTier)
+	}
+	v := s.AttachViewer()
+	defer v.Close()
+	s.produce()
+
+	tree := s.Tree()
+	if tree == nil || len(tree.Branches) != 1 || tree.Branches[0].Tier != cost.TierFull {
+		t.Fatalf("lone client installed %v, want one full-resolution branch", tree)
+	}
+	req := s.Request()
+	path, _ := s.Status()["vrt_path"].([]string)
+	if len(path) < 2 || path[0] != req.SourceNode || path[len(path)-1] != req.ClientNode {
+		t.Fatalf("vrt_path %v does not run %s -> %s", path, req.SourceNode, req.ClientNode)
+	}
+	if branches, _ := s.Status()["tree_branches"].([]map[string]any); len(branches) != 1 {
+		t.Fatalf("tree_branches = %v, want one entry", s.Status()["tree_branches"])
+	}
+	s.mu.Lock()
+	for tier := 1; tier < cost.NumTiers; tier++ {
+		if s.tierPNG[tier] != nil {
+			t.Fatalf("tier %v encoded with no tiered viewer", cost.Tier(tier))
+		}
+	}
+	s.mu.Unlock()
+
+	// The same host named through ClientNodes is a fan-out of one: it is
+	// solved under the manager's budget.
+	req.ClientNodes = []string{req.ClientNode}
+	fan, err := newManagedSession(m, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fan.sim.SetWorkers(1)
+	fan.produce()
+	if len(asked) != 2 || asked[0] != cost.TierFull || asked[1] != cost.TierDelta {
+		t.Fatalf("consulted under budgets %v, want [full delta]", asked)
 	}
 }

@@ -6,15 +6,10 @@ import (
 	"ricsa/internal/netsim"
 )
 
-// Receiver reorders incoming datagrams, delivers them in order, and emits
-// periodic ACK/NACK feedback with its measured goodput (Fig. 2's receiver
-// side: datagram reordering, receiver buffer, ACK/NACK generation).
-type Receiver struct {
-	net *netsim.Network
-	ack *netsim.Channel // reverse path (feedback)
-	cfg Config
-
-	running bool
+// reorder is the datagram reordering state both receivers run — Receiver on
+// the netsim event loop, UDPReceiver under its mutex: the in-order frontier,
+// the out-of-order set, the NACK scan cursor and the packet counters.
+type reorder struct {
 	cumAck  uint64 // all seq < cumAck received and delivered in order
 	pending map[uint64]bool
 	maxSeen uint64
@@ -28,6 +23,18 @@ type Receiver struct {
 	deliveredPkts uint64 // unique packets delivered (goodput numerator)
 	dupPkts       uint64
 	windowPkts    uint64 // unique packets in current ACK window
+}
+
+// Receiver reorders incoming datagrams, delivers them in order, and emits
+// periodic ACK/NACK feedback with its measured goodput (Fig. 2's receiver
+// side: datagram reordering, receiver buffer, ACK/NACK generation).
+type Receiver struct {
+	net *netsim.Network
+	ack *netsim.Channel // reverse path (feedback)
+	cfg Config
+
+	running bool
+	reorder
 
 	trace []Sample
 	last  netsim.Time
@@ -45,7 +52,7 @@ func NewReceiver(n *netsim.Network, ack *netsim.Channel, cfg Config) (*Receiver,
 		net:     n,
 		ack:     ack,
 		cfg:     cfg,
-		pending: make(map[uint64]bool),
+		reorder: reorder{pending: make(map[uint64]bool)},
 	}, nil
 }
 
@@ -87,7 +94,7 @@ func (r *Receiver) Duplicates() uint64 { return r.dupPkts }
 // Trace returns the receiver-side goodput samples, one per ACK interval.
 func (r *Receiver) Trace() []Sample { return r.trace }
 
-func (r *Receiver) onData(seq uint64) {
+func (r *reorder) onData(seq uint64) {
 	if seq < r.cumAck || r.pending[seq] {
 		r.dupPkts++
 		return
@@ -144,7 +151,7 @@ func (r *Receiver) emitAck() {
 // call left (wrapping at the end of the gap), so every other hole is still
 // reported within a bounded number of ack ticks but one tick never rescans
 // what an earlier tick already covered.
-func (r *Receiver) missing(max int) []uint64 {
+func (r *reorder) missing(max int) []uint64 {
 	if !r.haveAny || r.maxSeen < r.cumAck || max <= 0 {
 		return nil
 	}

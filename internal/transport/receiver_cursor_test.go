@@ -1,27 +1,20 @@
 package transport
 
 import (
+	"net"
 	"testing"
+	"time"
 
-	"ricsa/internal/netsim"
+	"ricsa/internal/clock"
 )
 
-// gapReceiver builds a receiver that has seen 0,1 in order and then a
-// sparse tail, leaving the reordering gap [2, 10] with holes at
-// 2,3,5,7,9.
-func gapReceiver(t *testing.T) *Receiver {
-	t.Helper()
-	n := netsim.New(1)
-	a := n.AddNode("a", 1)
-	b := n.AddNode("b", 1)
-	l := n.Connect(a, b, netsim.LinkConfig{Bandwidth: 1e9})
-	cfg := DefaultConfig(1e6)
-	r := mustReceiver(t, n, l.BA, cfg)
-	r.Bind(l.AB)
-	for _, s := range []uint64{0, 1, 4, 6, 8, 10} {
-		l.AB.Send(netsim.Packet{Size: cfg.PacketSize, Payload: dataMsg{Seq: s}})
+// newReorder feeds seqs to a fresh reorder buffer — the state Receiver and
+// UDPReceiver both embed — in arrival order.
+func newReorder(seqs ...uint64) *reorder {
+	r := &reorder{pending: make(map[uint64]bool)}
+	for _, s := range seqs {
+		r.onData(s)
 	}
-	n.Run()
 	return r
 }
 
@@ -29,7 +22,9 @@ func gapReceiver(t *testing.T) *Receiver {
 // parts of the gap instead of re-reporting the head every tick, and the
 // cursor wraps so every hole is eventually reported again.
 func TestMissingScanResumesAtCursor(t *testing.T) {
-	r := gapReceiver(t)
+	// 0,1 in order and then a sparse tail: the reordering gap is [2, 10]
+	// with holes at 2,3,5,7,9.
+	r := newReorder(0, 1, 4, 6, 8, 10)
 	if r.cumAck != 2 || r.maxSeen != 10 {
 		t.Fatalf("gap [%d, %d], want [2, 10]", r.cumAck, r.maxSeen)
 	}
@@ -58,30 +53,67 @@ func TestMissingScanResumesAtCursor(t *testing.T) {
 // past the cursor, the scan clamps forward instead of reporting sequences
 // that are already delivered.
 func TestMissingCursorFollowsFrontier(t *testing.T) {
-	n := netsim.New(1)
-	a := n.AddNode("a", 1)
-	b := n.AddNode("b", 1)
-	l := n.Connect(a, b, netsim.LinkConfig{Bandwidth: 1e9})
-	cfg := DefaultConfig(1e6)
-	r := mustReceiver(t, n, l.BA, cfg)
-	r.Bind(l.AB)
-
-	send := func(seqs ...uint64) {
-		for _, s := range seqs {
-			l.AB.Send(netsim.Packet{Size: cfg.PacketSize, Payload: dataMsg{Seq: s}})
-		}
-		n.Run()
-	}
-	send(0, 3, 5)
+	r := newReorder(0, 3, 5)
 	if got := r.missing(1); len(got) != 1 || got[0] != 1 {
 		t.Fatalf("missing = %v, want [1]", got)
 	}
 	// Retransmissions fill the head: cumAck jumps to 4.
-	send(1, 2)
+	r.onData(1)
+	r.onData(2)
 	if r.cumAck != 4 {
 		t.Fatalf("cumAck %d, want 4", r.cumAck)
 	}
 	if got := r.missing(4); len(got) != 1 || got[0] != 4 {
 		t.Fatalf("missing after frontier advance = %v, want [4]", got)
+	}
+}
+
+// TestUDPAckCoversWholeGap: the real-socket receiver's ACK ticks walk a
+// 10 000-sequence gap with the same cursor — every hole is NACKed within
+// ceil(tail holes/(MaxNacksPerAck-1)) ticks and the head-of-line hole on
+// every one — where a scan restarted at cumAck each tick could only ever report
+// the lowest MaxNacksPerAck holes. The ticks are driven by hand: no reader
+// or ACK goroutine runs, the clock is virtual, and the feedback datagrams
+// are read back from a loopback socket standing in for the sender.
+func TestUDPAckCoversWholeGap(t *testing.T) {
+	const holes = 10000
+	cfg := DefaultConfig(1e6)
+	cfg.MaxNacksPerAck = 64
+	cfg.Clock = clock.NewVirtual(time.Unix(0, 0))
+	rcv, err := ListenUDP("127.0.0.1:0", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rcv.conn.Close()
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	rcv.peer = peer.LocalAddr().(*net.UDPAddr)
+	rcv.onData(0)
+	rcv.onData(holes + 1) // holes 1..holes
+
+	reported := make(map[uint64]bool, holes)
+	buf := make([]byte, 64<<10)
+	ticks := (holes - 1 + cfg.MaxNacksPerAck - 2) / (cfg.MaxNacksPerAck - 1) // 63 tail holes a tick
+	for tick := 0; tick < ticks; tick++ {
+		rcv.emitAck()
+		peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, _, err := peer.ReadFromUDP(buf)
+		if err != nil {
+			t.Fatalf("tick %d: no feedback datagram: %v", tick, err)
+		}
+		cum, _, nacks, ok := parseAck(buf[:n])
+		if !ok || cum != 1 || len(nacks) != cfg.MaxNacksPerAck || nacks[0] != 1 {
+			t.Fatalf("tick %d: ack cum=%d nacks=%v ok=%v, want cum 1 and %d NACKs led by the head-of-line hole",
+				tick, cum, nacks, ok, cfg.MaxNacksPerAck)
+		}
+		for _, s := range nacks {
+			reported[s] = true
+		}
+	}
+	if len(reported) != holes {
+		t.Fatalf("%d of %d holes NACKed in %d ticks", len(reported), holes, ticks)
 	}
 }

@@ -31,13 +31,7 @@ type UDPReceiver struct {
 
 	mu       sync.Mutex
 	peer     *net.UDPAddr
-	cumAck   uint64
-	pending  map[uint64]bool
-	maxSeen  uint64
-	haveAny  bool
-	unique   uint64
-	dups     uint64
-	winPkts  uint64
+	reorder  // the virtual receiver's reordering logic, guarded by mu
 	lastTick time.Time
 	trace    []Sample
 
@@ -72,7 +66,7 @@ func ListenUDP(addr string, cfg Config) (*UDPReceiver, error) {
 		conn:    conn,
 		cfg:     cfg,
 		clk:     cfg.Clock,
-		pending: make(map[uint64]bool),
+		reorder: reorder{pending: make(map[uint64]bool)},
 		rng:     rand.New(rand.NewSource(seed)),
 		stop:    make(chan struct{}),
 	}
@@ -105,14 +99,14 @@ func (r *UDPReceiver) Stop() {
 func (r *UDPReceiver) Delivered() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.unique
+	return r.deliveredPkts
 }
 
 // Duplicates reports discarded duplicate datagrams.
 func (r *UDPReceiver) Duplicates() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dups
+	return r.dupPkts
 }
 
 func (r *UDPReceiver) readLoop() {
@@ -135,25 +129,6 @@ func (r *UDPReceiver) readLoop() {
 		}
 		r.onData(seq)
 		r.mu.Unlock()
-	}
-}
-
-// onData mirrors the virtual receiver's reordering logic. Caller holds mu.
-func (r *UDPReceiver) onData(seq uint64) {
-	if seq < r.cumAck || r.pending[seq] {
-		r.dups++
-		return
-	}
-	r.pending[seq] = true
-	if !r.haveAny || seq > r.maxSeen {
-		r.maxSeen = seq
-		r.haveAny = true
-	}
-	r.unique++
-	r.winPkts++
-	for r.pending[r.cumAck] {
-		delete(r.pending, r.cumAck)
-		r.cumAck++
 	}
 }
 
@@ -180,20 +155,13 @@ func (r *UDPReceiver) emitAck() {
 	dt := now.Sub(r.lastTick)
 	var g float64
 	if dt > 0 {
-		g = float64(r.winPkts) * float64(r.cfg.PacketSize) / dt.Seconds()
+		g = float64(r.windowPkts) * float64(r.cfg.PacketSize) / dt.Seconds()
 	}
-	r.winPkts = 0
+	r.windowPkts = 0
 	r.lastTick = now
 	r.trace = append(r.trace, Sample{At: time.Duration(now.UnixNano()), Goodput: g})
 
-	var nacks []uint64
-	if r.haveAny {
-		for seq := r.cumAck; seq <= r.maxSeen && len(nacks) < r.cfg.MaxNacksPerAck; seq++ {
-			if !r.pending[seq] {
-				nacks = append(nacks, seq)
-			}
-		}
-	}
+	nacks := r.missing(r.cfg.MaxNacksPerAck)
 	peer := r.peer
 	cum := r.cumAck
 	r.mu.Unlock()

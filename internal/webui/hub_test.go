@@ -431,7 +431,7 @@ func TestHubFramesMonotonicAcrossAdaptation(t *testing.T) {
 	for s.Reoptimizations() < 1 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	before := s.VRT()
+	before := s.Tree()
 	if before == nil {
 		t.Fatal("no mapping installed")
 	}
@@ -478,7 +478,7 @@ func TestHubFramesMonotonicAcrossAdaptation(t *testing.T) {
 	}()
 
 	// Collapse the installed path and register the drift.
-	path := before.Path()
+	path := before.BranchPath(0)
 	for i := 0; i+1 < len(path); i++ {
 		if l := mgr.CM().Network().FindLink(path[i], path[i+1]); l != nil {
 			l.AB.SetBandwidth(l.AB.Config().Bandwidth * 0.02)

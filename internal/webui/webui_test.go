@@ -29,7 +29,7 @@ const virtualPeriod = 100 * time.Millisecond
 // top of every frame. With no prober the graph — and so the mapping — is
 // static, so the cadence is too.
 func framePeriod(s *steering.ManagedSession) time.Duration {
-	return virtualPeriod + time.Duration(s.VRT().Delay*float64(time.Second))
+	return virtualPeriod + time.Duration(s.Tree().Delay*float64(time.Second))
 }
 
 // virtualHub serves a Hub over a virtual-clock manager (no prober, so every
