@@ -113,20 +113,12 @@ func main() {
 	computeWorkers := flag.Int("compute-workers", 0,
 		"shared frame-compute pool width for sim sweeps and block extraction "+
 			"(0 selects GOMAXPROCS, 1 runs fully inline)")
-	transportMode := flag.String("transport-mode", "nack",
-		"frame delivery pricing over lossy edges: nack (retransmission), "+
-			"fec (fountain-coded forward error correction), or auto "+
-			"(cheaper of the two per edge)")
 	maxTierFlag := flag.String("max-tier", "full",
 		"deepest viewer quality tier the optimizer and frame endpoints may "+
 			"degrade to: full, half, quarter, or delta")
 	noBootstrap := flag.Bool("no-bootstrap", false, "do not create the default session at startup")
 	flag.Parse()
 
-	mode, err := cost.ParseTransportMode(*transportMode)
-	if err != nil {
-		log.Fatalf("ricsa-server: %v", err)
-	}
 	maxTier, err := cost.ParseTier(*maxTierFlag)
 	if err != nil {
 		log.Fatalf("ricsa-server: %v", err)
@@ -144,7 +136,6 @@ func main() {
 		FrameBudget:       *frameBudget,
 		FrameCost:         *frameCost,
 		MaxViewerLag:      *maxViewerLag,
-		TransportMode:     mode,
 		MaxTier:           maxTier,
 	})
 

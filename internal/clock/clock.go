@@ -1,8 +1,7 @@
 // Package clock abstracts control-loop timing so the live stack — the
-// Central Manager's background Prober, ManagedSession frame pacing, and the
-// wall-clock UDP transport — can run either on the operating system's clock
-// (production) or on a deterministic virtual clock (the scenario engine and
-// de-flaked tests).
+// Central Manager's background Prober and ManagedSession frame pacing — can
+// run either on the operating system's clock (production) or on a
+// deterministic virtual clock (the scenario engine and de-flaked tests).
 //
 // The contract consumers must follow for virtual runs to be deterministic:
 //

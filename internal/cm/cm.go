@@ -90,11 +90,6 @@ type Config struct {
 	// cost.DeliverySeconds). The zero value keeps the historical NACK
 	// pricing.
 	Transport cost.TransportMode
-	// OnRepublish, when set, is invoked (outside the Manager's lock) each
-	// time a tolerance-gated re-stamped snapshot is published — the hook
-	// transport layers use to re-negotiate per-flow FEC mode against the
-	// fresh loss estimates (fec.Negotiator.Renegotiate).
-	OnRepublish func()
 	// Clock is the timing source of the background Prober. nil selects the
 	// wall clock; the scenario engine and deterministic tests inject a
 	// clock.Virtual. (This only paces the Prober's ticks — probe transfers
@@ -265,9 +260,8 @@ func (m *Manager) AdoptNetwork(net *netsim.Network) error {
 		}
 	}
 	m.bind(net)
-	pub := m.measureAllLocked(m.cfg.ProbeSizes, m.cfg.ProbeRepeats)
+	m.measureAllLocked(m.cfg.ProbeSizes, m.cfg.ProbeRepeats)
 	m.mu.Unlock()
-	m.notifyRepublish(pub)
 	return nil
 }
 
@@ -276,9 +270,8 @@ func (m *Manager) AdoptNetwork(net *netsim.Network) error {
 // and the graph is re-stamped only if something moved past the tolerance.
 func (m *Manager) MeasureAll() {
 	m.mu.Lock()
-	pub := m.measureAllLocked(m.cfg.ProbeSizes, m.cfg.ProbeRepeats)
+	m.measureAllLocked(m.cfg.ProbeSizes, m.cfg.ProbeRepeats)
 	m.mu.Unlock()
-	m.notifyRepublish(pub)
 }
 
 // MeasureAllWith is MeasureAll with an explicit probe sweep.
@@ -287,21 +280,11 @@ func (m *Manager) MeasureAllWith(sizes []int, repeats int) {
 	if repeats < 1 {
 		repeats = 1
 	}
-	pub := m.measureAllLocked(sizes, repeats)
+	m.measureAllLocked(sizes, repeats)
 	m.mu.Unlock()
-	m.notifyRepublish(pub)
 }
 
-// notifyRepublish fires the renegotiation hook for a re-stamped snapshot.
-// Never called for the construction-time publish: there are no flows to
-// renegotiate before the first graph exists.
-func (m *Manager) notifyRepublish(published bool) {
-	if published && m.cfg.OnRepublish != nil {
-		m.cfg.OnRepublish()
-	}
-}
-
-func (m *Manager) measureAllLocked(sizes []int, repeats int) bool {
+func (m *Manager) measureAllLocked(sizes []int, repeats int) {
 	m.epoch++
 	for _, st := range m.edges {
 		before := st.ch.Stats()
@@ -321,7 +304,7 @@ func (m *Manager) measureAllLocked(sizes []int, repeats int) bool {
 		st.lastProbeEpoch = m.epoch
 		st.everProbed = true
 	}
-	return m.publishLocked()
+	m.publishLocked()
 }
 
 // ProbeTick re-probes the next ProbeLinksPerTick edges round-robin and
@@ -379,7 +362,6 @@ func (m *Manager) ProbeTick() bool {
 	}
 	pub := m.publishLocked()
 	m.mu.Unlock()
-	m.notifyRepublish(pub)
 	return pub
 }
 
@@ -485,39 +467,6 @@ func (m *Manager) Estimates() map[string]cost.PathEstimate {
 		}
 	}
 	return out
-}
-
-// SetTransportMode switches the delivery model stamped onto published
-// graphs. If the mode actually changes, the current snapshot is replaced
-// by a re-stamped copy (the measurements are untouched) and the
-// renegotiation hook fires — every cached mapping was priced under the
-// old model.
-func (m *Manager) SetTransportMode(mode cost.TransportMode) {
-	m.mu.Lock()
-	if m.cfg.Transport == mode {
-		m.mu.Unlock()
-		return
-	}
-	m.cfg.Transport = mode
-	pub := false
-	if m.graph != nil {
-		g := *m.graph
-		g.Transport = mode
-		g.Rev = pipeline.NextGraphRev()
-		m.graph = &g
-		m.restamps++
-		pub = true
-	}
-	m.mu.Unlock()
-	m.notifyRepublish(pub)
-}
-
-// TransportMode reports the delivery model published graphs are stamped
-// with.
-func (m *Manager) TransportMode() cost.TransportMode {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cfg.Transport
 }
 
 // Optimize answers a session's consultation: the memoized Eq. 9-10 dynamic

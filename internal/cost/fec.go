@@ -1,9 +1,6 @@
 package cost
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // This file prices the two transport delivery models the optimizer can
 // choose between on each virtual link (DESIGN §13): the NACK path (the
@@ -29,20 +26,6 @@ const (
 	// preferring NACK on ties (no redundancy overhead when loss is zero).
 	TransportAuto
 )
-
-// ParseTransportMode maps the -transport-mode flag values. The empty
-// string selects NACK, the historical default.
-func ParseTransportMode(s string) (TransportMode, error) {
-	switch s {
-	case "", "nack":
-		return TransportNACK, nil
-	case "fec":
-		return TransportFEC, nil
-	case "auto":
-		return TransportAuto, nil
-	}
-	return TransportNACK, fmt.Errorf("cost: unknown transport mode %q (want nack, fec, or auto)", s)
-}
 
 func (m TransportMode) String() string {
 	switch m {

@@ -5,21 +5,12 @@ import (
 	"testing"
 )
 
-func TestParseTransportMode(t *testing.T) {
-	for s, want := range map[string]TransportMode{
-		"": TransportNACK, "nack": TransportNACK, "fec": TransportFEC, "auto": TransportAuto,
+func TestTransportModeString(t *testing.T) {
+	for m, want := range map[TransportMode]string{
+		TransportNACK: "nack", TransportFEC: "fec", TransportAuto: "auto",
 	} {
-		got, err := ParseTransportMode(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseTransportMode(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseTransportMode("arq"); err == nil {
-		t.Fatal("unknown mode accepted")
-	}
-	for _, m := range []TransportMode{TransportNACK, TransportFEC, TransportAuto} {
-		if back, err := ParseTransportMode(m.String()); err != nil || back != m {
-			t.Fatalf("round trip %v -> %q -> %v, %v", m, m.String(), back, err)
+		if got := m.String(); got != want {
+			t.Fatalf("%d.String() = %q, want %q", m, got, want)
 		}
 	}
 }

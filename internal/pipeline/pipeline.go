@@ -75,7 +75,7 @@ type Node struct {
 
 // Edge is a directed virtual link with measured effective bandwidth and
 // minimum delay (seconds), the outputs of the EPB estimator, plus the
-// connection manager's loss estimate for transport-mode pricing.
+// connection manager's loss estimate for delivery-model pricing.
 type Edge struct {
 	To        int
 	Bandwidth float64 // bytes per second

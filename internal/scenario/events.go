@@ -125,19 +125,6 @@ func ScaleLink(at time.Duration, a, b string, factor float64) Event {
 		}}
 }
 
-// SetLinkDelay steps both directions of a link's propagation delay.
-func SetLinkDelay(at time.Duration, a, b string, d time.Duration) Event {
-	return Event{At: at, Name: fmt.Sprintf("set-link-delay %s-%s %s", a, b, fmtD(d)),
-		Apply: func(e *Engine) error {
-			l, err := e.Link(a, b)
-			if err != nil {
-				return err
-			}
-			l.SetDelay(d)
-			return nil
-		}}
-}
-
 // LinkDown marks both directions of a link dark (a flap's down edge).
 func LinkDown(at time.Duration, a, b string) Event {
 	return Event{At: at, Name: fmt.Sprintf("link-down %s-%s", a, b),

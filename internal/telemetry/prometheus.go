@@ -87,10 +87,6 @@ func (c *Counters) WritePrometheus(w io.Writer, gauges ...Gauge) {
 	counter("ricsa_telemetry_records_dropped_total", "Frame records shed because the sink fell behind.", c.RecordsDropped.Load())
 	counter("ricsa_blocks_reused_total", "Dirty-block ROI cache hits: per-block meshes reused without re-extraction.", c.BlocksReused.Load())
 	counter("ricsa_blocks_extracted_total", "Blocks re-extracted by the dirty-block ROI path.", c.BlocksExtracted.Load())
-	counter("ricsa_fec_blocks_sent_total", "Fountain-FEC coded blocks sent (source plus repair).", c.FECBlocksSent.Load())
-	counter("ricsa_fec_repair_used_total", "Lost source blocks covered in-line by repair blocks.", c.FECRepairUsed.Load())
-	counter("ricsa_fec_decode_failures_total", "FEC generations evicted undecodable (loss beyond provisioned redundancy).", c.FECDecodeFailures.Load())
-	counter("ricsa_fec_fallbacks_total", "Counted fallbacks from FEC to the NACK path (decline or consecutive decode failures).", c.FECFallbacks.Load())
 
 	for t := 0; t < NumTierSeries; t++ {
 		name := tierSeriesNames[t]

@@ -39,7 +39,6 @@ func TestConfigValidateRejectsNonsense(t *testing.T) {
 		{"Smoothing", func(c *Config) { c.Smoothing = 1.5 }},
 		{"Smoothing", func(c *Config) { c.Smoothing = -0.25 }},
 		{"RetransHold", func(c *Config) { c.RetransHold = -time.Second }},
-		{"Redundancy", func(c *Config) { c.Redundancy = -0.1 }},
 	}
 	for _, tc := range bad {
 		cfg := DefaultConfig(1e6)
@@ -70,12 +69,6 @@ func TestConstructorsRejectBadConfig(t *testing.T) {
 	}
 	if _, err := NewAIMDSender(n, fwd, bad, 0); err == nil {
 		t.Fatal("NewAIMDSender accepted Window = -1")
-	}
-	if _, err := ListenUDP("127.0.0.1:0", bad); err == nil {
-		t.Fatal("ListenUDP accepted Window = -1")
-	}
-	if _, err := DialUDP("127.0.0.1:9", bad); err == nil {
-		t.Fatal("DialUDP accepted Window = -1")
 	}
 	if tr := RunStabilized(n, fwd, rev, bad, time.Second); tr != nil {
 		t.Fatal("RunStabilized produced a trace from an invalid config")

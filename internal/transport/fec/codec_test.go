@@ -101,7 +101,7 @@ func TestDecodeEveryLossPatternWithinRedundancy(t *testing.T) {
 
 // TestDecodeBeyondRedundancyFails pins the complement: losing more
 // blocks than the repair budget leaves the decoder not Ready, which is
-// the signal the flow machinery turns into a counted fallback.
+// the case the delivery model prices as a NACK fallback.
 func TestDecodeBeyondRedundancyFails(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	frame := randFrame(rng, 2048)
@@ -112,6 +112,50 @@ func TestDecodeBeyondRedundancyFails(t *testing.T) {
 	lost := map[int]bool{0: true, 3: true, 9: true} // 3 lost, budget 2
 	if got := decodeSubset(t, e, lost); got != nil {
 		t.Fatalf("decode succeeded with %d losses over a 2-block repair budget", len(lost))
+	}
+}
+
+// TestReceiverDeliversOnAnySufficientSubset: a receiving decoder fed a
+// generation's surviving blocks in shuffled arrival order becomes Ready on
+// exactly the k-th distinct block, not before, and reconstructs the frame;
+// a duplicate arriving first counts once.
+func TestReceiverDeliversOnAnySufficientSubset(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	frame := randFrame(rng, 5000)
+	e := NewEncoder()
+	if err := e.Encode(frame, 4, 2); err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	// Drop two blocks (== repair budget), shuffle the rest: block ids
+	// [0,4) are source, [4,6) repair.
+	keep := []int{0, 2, 4, 5}
+	rng.Shuffle(len(keep), func(i, j int) { keep[i], keep[j] = keep[j], keep[i] })
+	keep = append([]int{keep[0]}, keep...)
+
+	d := NewDecoder()
+	if err := d.Reset(e.NumSource(), e.BlockSize(), e.FrameLen()); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	for n, id := range keep {
+		var err error
+		if id < e.NumSource() {
+			err = d.AddSource(id, e.SourceBlock(id))
+		} else {
+			err = d.AddRepair(id-e.NumSource(), e.RepairBlock(id-e.NumSource()))
+		}
+		if err != nil {
+			t.Fatalf("block %d: %v", id, err)
+		}
+		if want := n == len(keep)-1; d.Ready() != want {
+			t.Fatalf("Ready=%v after %d of %d arrivals (first one duplicated)", d.Ready(), n+1, len(keep))
+		}
+	}
+	out, err := d.Decode()
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	if !bytes.Equal(out, frame) {
+		t.Fatal("decoded frame differs from encoded frame")
 	}
 }
 

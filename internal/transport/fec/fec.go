@@ -17,11 +17,9 @@
 // state enters the codec, so encode and decode are pure functions of the
 // frame bytes and the generation shape.
 //
-// Mode is negotiated per flow (wire.go) and falls back to the NACK path
-// when the peer declines or when FallbackAfter consecutive generations
-// fail to decode (flow.go); delivery over the emulated WAN is modelled by
-// MeasureFrameWithin (measure.go), the FEC counterpart of
-// netsim.MeasureBulkWithin.
+// FEC is a priced and emulated model, never sent on a socket: delivery
+// over the emulated WAN is modelled by MeasureFrameWithin (measure.go), the
+// FEC counterpart of netsim.MeasureBulkWithin.
 package fec
 
 import "errors"

@@ -13,6 +13,11 @@ import (
 // does the flow fall back to the NACK path for the missing residue —
 // counted, never stalled.
 
+// blockHdr is the modelled per-block header: a 1-byte type, uint32
+// generation, three uint16 shape fields (k, total, index) and a uint32
+// frame length.
+const blockHdr = 1 + 4 + 2 + 2 + 2 + 4
+
 // frameBlock tags a delivery-model block with its owning flow, mirroring
 // bulkChunk's stale-arrival protection: a block from an abandoned frame
 // arriving after a later frame installed its handler must not be

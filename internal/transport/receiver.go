@@ -6,10 +6,16 @@ import (
 	"ricsa/internal/netsim"
 )
 
-// reorder is the datagram reordering state both receivers run — Receiver on
-// the netsim event loop, UDPReceiver under its mutex: the in-order frontier,
-// the out-of-order set, the NACK scan cursor and the packet counters.
-type reorder struct {
+// Receiver reorders incoming datagrams, delivers them in order, and emits
+// periodic ACK/NACK feedback with its measured goodput (Fig. 2's receiver
+// side: datagram reordering, receiver buffer, ACK/NACK generation).
+type Receiver struct {
+	net *netsim.Network
+	ack *netsim.Channel // reverse path (feedback)
+	cfg Config
+
+	running bool
+
 	cumAck  uint64 // all seq < cumAck received and delivered in order
 	pending map[uint64]bool
 	maxSeen uint64
@@ -23,18 +29,6 @@ type reorder struct {
 	deliveredPkts uint64 // unique packets delivered (goodput numerator)
 	dupPkts       uint64
 	windowPkts    uint64 // unique packets in current ACK window
-}
-
-// Receiver reorders incoming datagrams, delivers them in order, and emits
-// periodic ACK/NACK feedback with its measured goodput (Fig. 2's receiver
-// side: datagram reordering, receiver buffer, ACK/NACK generation).
-type Receiver struct {
-	net *netsim.Network
-	ack *netsim.Channel // reverse path (feedback)
-	cfg Config
-
-	running bool
-	reorder
 
 	trace []Sample
 	last  netsim.Time
@@ -52,23 +46,20 @@ func NewReceiver(n *netsim.Network, ack *netsim.Channel, cfg Config) (*Receiver,
 		net:     n,
 		ack:     ack,
 		cfg:     cfg,
-		reorder: reorder{pending: make(map[uint64]bool)},
+		pending: make(map[uint64]bool),
 	}, nil
 }
 
-// Bind installs the data handler on the forward channel. To share a
-// channel between flows, register HandlePacket with a Demux instead.
+// Bind installs the data handler on the forward channel.
 func (r *Receiver) Bind(data *netsim.Channel) {
-	data.SetHandler(r.HandlePacket)
+	data.SetHandler(r.handlePacket)
 }
 
-// HandlePacket processes one datagram, ignoring other flows.
-func (r *Receiver) HandlePacket(p netsim.Packet) {
-	msg, ok := p.Payload.(dataMsg)
-	if !ok || msg.Flow != r.cfg.FlowID {
-		return
+// handlePacket processes one datagram.
+func (r *Receiver) handlePacket(p netsim.Packet) {
+	if msg, ok := p.Payload.(dataMsg); ok {
+		r.onData(msg.Seq)
 	}
-	r.onData(msg.Seq)
 }
 
 // Start begins the periodic ACK clock.
@@ -94,7 +85,7 @@ func (r *Receiver) Duplicates() uint64 { return r.dupPkts }
 // Trace returns the receiver-side goodput samples, one per ACK interval.
 func (r *Receiver) Trace() []Sample { return r.trace }
 
-func (r *reorder) onData(seq uint64) {
+func (r *Receiver) onData(seq uint64) {
 	if seq < r.cumAck || r.pending[seq] {
 		r.dupPkts++
 		return
@@ -139,7 +130,7 @@ func (r *Receiver) emitAck() {
 		From:    r.ack.From.Name,
 		To:      r.ack.To.Name,
 		Size:    32 + 8*len(nacks),
-		Payload: ackMsg{Flow: r.cfg.FlowID, CumAck: r.cumAck, Nacks: nacks, Goodput: g},
+		Payload: ackMsg{CumAck: r.cumAck, Nacks: nacks, Goodput: g},
 	})
 }
 
@@ -151,7 +142,7 @@ func (r *Receiver) emitAck() {
 // call left (wrapping at the end of the gap), so every other hole is still
 // reported within a bounded number of ack ticks but one tick never rescans
 // what an earlier tick already covered.
-func (r *reorder) missing(max int) []uint64 {
+func (r *Receiver) missing(max int) []uint64 {
 	if !r.haveAny || r.maxSeen < r.cumAck || max <= 0 {
 		return nil
 	}

@@ -1,17 +1,15 @@
 package transport
 
 import (
-	"net"
 	"testing"
-	"time"
 
-	"ricsa/internal/clock"
+	"ricsa/internal/netsim"
 )
 
-// newReorder feeds seqs to a fresh reorder buffer — the state Receiver and
-// UDPReceiver both embed — in arrival order.
-func newReorder(seqs ...uint64) *reorder {
-	r := &reorder{pending: make(map[uint64]bool)}
+// newReorder feeds seqs to a fresh receiver's reordering state in arrival
+// order.
+func newReorder(seqs ...uint64) *Receiver {
+	r := &Receiver{pending: make(map[uint64]bool)}
 	for _, s := range seqs {
 		r.onData(s)
 	}
@@ -68,48 +66,38 @@ func TestMissingCursorFollowsFrontier(t *testing.T) {
 	}
 }
 
-// TestUDPAckCoversWholeGap: the real-socket receiver's ACK ticks walk a
+// TestUDPAckCoversWholeGap: the receiver's ACK datagrams walk a
 // 10 000-sequence gap with the same cursor — every hole is NACKed within
 // ceil(tail holes/(MaxNacksPerAck-1)) ticks and the head-of-line hole on
-// every one — where a scan restarted at cumAck each tick could only ever report
-// the lowest MaxNacksPerAck holes. The ticks are driven by hand: no reader
-// or ACK goroutine runs, the clock is virtual, and the feedback datagrams
-// are read back from a loopback socket standing in for the sender.
+// every one — where a scan restarted at cumAck each tick could only ever
+// report the lowest MaxNacksPerAck holes. The ticks are driven by hand and
+// each ACK is read off the feedback channel as the sender would see it.
 func TestUDPAckCoversWholeGap(t *testing.T) {
 	const holes = 10000
+	n := netsim.New(1)
+	l := n.Connect(n.AddNode("a", 1), n.AddNode("b", 1), netsim.LinkConfig{Bandwidth: 1e9})
 	cfg := DefaultConfig(1e6)
 	cfg.MaxNacksPerAck = 64
-	cfg.Clock = clock.NewVirtual(time.Unix(0, 0))
-	rcv, err := ListenUDP("127.0.0.1:0", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rcv.conn.Close()
-	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peer.Close()
-	rcv.peer = peer.LocalAddr().(*net.UDPAddr)
+	rcv := mustReceiver(t, n, l.BA, cfg)
+	var acks []ackMsg
+	l.BA.SetHandler(func(p netsim.Packet) { acks = append(acks, p.Payload.(ackMsg)) })
 	rcv.onData(0)
 	rcv.onData(holes + 1) // holes 1..holes
 
 	reported := make(map[uint64]bool, holes)
-	buf := make([]byte, 64<<10)
 	ticks := (holes - 1 + cfg.MaxNacksPerAck - 2) / (cfg.MaxNacksPerAck - 1) // 63 tail holes a tick
 	for tick := 0; tick < ticks; tick++ {
 		rcv.emitAck()
-		peer.SetReadDeadline(time.Now().Add(5 * time.Second))
-		n, _, err := peer.ReadFromUDP(buf)
-		if err != nil {
-			t.Fatalf("tick %d: no feedback datagram: %v", tick, err)
+		n.Run()
+		if len(acks) != tick+1 {
+			t.Fatalf("tick %d: %d feedback datagrams delivered, want %d", tick, len(acks), tick+1)
 		}
-		cum, _, nacks, ok := parseAck(buf[:n])
-		if !ok || cum != 1 || len(nacks) != cfg.MaxNacksPerAck || nacks[0] != 1 {
-			t.Fatalf("tick %d: ack cum=%d nacks=%v ok=%v, want cum 1 and %d NACKs led by the head-of-line hole",
-				tick, cum, nacks, ok, cfg.MaxNacksPerAck)
+		ack := acks[tick]
+		if ack.CumAck != 1 || len(ack.Nacks) != cfg.MaxNacksPerAck || ack.Nacks[0] != 1 {
+			t.Fatalf("tick %d: ack cum=%d nacks=%v, want cum 1 and %d NACKs led by the head-of-line hole",
+				tick, ack.CumAck, ack.Nacks, cfg.MaxNacksPerAck)
 		}
-		for _, s := range nacks {
+		for _, s := range ack.Nacks {
 			reported[s] = true
 		}
 	}

@@ -54,19 +54,16 @@ func NewSender(n *netsim.Network, data *netsim.Channel, cfg Config) (*Sender, er
 	}, nil
 }
 
-// Bind installs the sender's ACK handler on the reverse channel. To share
-// a channel between flows, register HandlePacket with a Demux instead.
+// Bind installs the sender's ACK handler on the reverse channel.
 func (s *Sender) Bind(rev *netsim.Channel) {
-	rev.SetHandler(s.HandlePacket)
+	rev.SetHandler(s.handlePacket)
 }
 
-// HandlePacket processes one feedback packet, ignoring other flows.
-func (s *Sender) HandlePacket(p netsim.Packet) {
-	ack, ok := p.Payload.(ackMsg)
-	if !ok || ack.Flow != s.cfg.FlowID {
-		return
+// handlePacket processes one feedback packet.
+func (s *Sender) handlePacket(p netsim.Packet) {
+	if ack, ok := p.Payload.(ackMsg); ok {
+		s.onAck(ack)
 	}
-	s.onAck(ack)
 }
 
 // Start begins the burst/sleep cycle and the Robbins-Monro update loop.
@@ -102,7 +99,7 @@ func (s *Sender) burst() {
 			From:    s.data.From.Name,
 			To:      s.data.To.Name,
 			Size:    s.cfg.PacketSize,
-			Payload: dataMsg{Flow: s.cfg.FlowID, Seq: seq},
+			Payload: dataMsg{Seq: seq},
 		})
 	}
 	s.net.Schedule(s.sleep, s.burst)

@@ -19,7 +19,6 @@ package transport
 import (
 	"time"
 
-	"ricsa/internal/clock"
 	"ricsa/internal/netsim"
 )
 
@@ -64,24 +63,6 @@ type Config struct {
 	// the bottleneck trigger duplicate sends that waste the very capacity
 	// the stabilizer is trying to meter.
 	RetransHold time.Duration
-	// Redundancy is the provisioned FEC redundancy factor for flows
-	// negotiated into fountain-coded mode (package transport/fec): repair
-	// bandwidth as a fraction of source bandwidth. Zero means adaptive —
-	// the redundancy is derived from the connection manager's per-edge
-	// loss/confidence estimates instead of being pinned.
-	Redundancy float64
-	// FlowID tags this connection's packets so several flows can share one
-	// channel through a Demux. Flows with different IDs ignore each
-	// other's datagrams and feedback.
-	FlowID int
-	// Seed drives the real-UDP endpoints' random processes (injected loss)
-	// so loopback runs are reproducible. 0 derives a seed from the clock —
-	// the historical unseeded behaviour.
-	Seed int64
-	// Clock paces the real-UDP endpoints' control loops (burst sleeps, ACK
-	// and Robbins-Monro steps). nil selects the wall clock. The virtual
-	// netsim transport ignores it: its clock is the emulated network's.
-	Clock clock.Clock
 }
 
 // DefaultConfig returns parameters suitable for control channels of a few
@@ -153,9 +134,6 @@ func (c *Config) fillDefaults() {
 	if c.RetransHold == 0 {
 		c.RetransHold = d.RetransHold
 	}
-	if c.Clock == nil {
-		c.Clock = clock.Wall()
-	}
 }
 
 // ConfigError is the typed construction error for a nonsensical Config
@@ -171,9 +149,9 @@ func (e *ConfigError) Error() string {
 
 // Validate checks a config for nonsensical settings. Zero values mean
 // "use the default" and always pass; anything explicitly set must be
-// sane. Constructors (NewSender, NewReceiver, NewAIMDSender, ListenUDP,
-// DialUDP) run this after default filling, so a bad config fails at
-// construction with a *ConfigError instead of misbehaving mid-flow.
+// sane. Constructors (NewSender, NewReceiver, NewAIMDSender) run this
+// after default filling, so a bad config fails at construction with a
+// *ConfigError instead of misbehaving mid-flow.
 func (c Config) Validate() error {
 	filled := c
 	filled.fillDefaults()
@@ -208,22 +186,18 @@ func (c Config) Validate() error {
 		return &ConfigError{"Smoothing", "must be in (0, 1]"}
 	case filled.RetransHold <= 0:
 		return &ConfigError{"RetransHold", "must be positive"}
-	case filled.Redundancy < 0:
-		return &ConfigError{"Redundancy", "must be non-negative"}
 	}
 	return nil
 }
 
 // dataMsg is a datagram payload.
 type dataMsg struct {
-	Flow int
-	Seq  uint64
+	Seq uint64
 }
 
 // ackMsg is the receiver's feedback: cumulative ACK, a bounded NACK list of
 // missing sequence numbers, and the receiver-measured goodput (bytes/s).
 type ackMsg struct {
-	Flow    int
 	CumAck  uint64 // all sequence numbers < CumAck received
 	Nacks   []uint64
 	Goodput float64

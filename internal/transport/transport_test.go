@@ -159,6 +159,59 @@ func TestReceiverInOrderDeliveryAndDuplicates(t *testing.T) {
 	}
 }
 
+// TestUDPReceiverDeduplicates: on a clean link the only duplicates are
+// spurious retransmissions, and they must stay a small fraction of the
+// unique datagrams delivered.
+func TestUDPReceiverDeduplicates(t *testing.T) {
+	n, fwd, rev := pair(3, cleanLink(4*netsim.MB), cleanLink(4*netsim.MB))
+	cfg := DefaultConfig(1e6)
+	snd := mustSender(t, n, fwd, cfg)
+	rcv := mustReceiver(t, n, rev, cfg)
+	rcv.Bind(fwd)
+	snd.Bind(rev)
+	rcv.Start()
+	snd.Start()
+	n.RunFor(10 * time.Second)
+
+	if rcv.Delivered() == 0 {
+		t.Fatal("nothing delivered")
+	}
+	if d, u := rcv.Duplicates(), rcv.Delivered(); d > u/5 {
+		t.Fatalf("%d duplicates vs %d unique", d, u)
+	}
+}
+
+// TestTwoFlowsConvergeToIndependentTargets: two sessions' stabilized flows
+// run on one simulator clock, each on its own path from the same source
+// node, and each must hit its own g* — the multi-session scenario of the
+// paper's front end.
+func TestTwoFlowsConvergeToIndependentTargets(t *testing.T) {
+	n := netsim.New(5)
+	src := n.AddNode("src", 1)
+	targets := [2]float64{400 * 1024, 900 * 1024}
+	var senders [2]*Sender
+	for i, name := range []string{"dst1", "dst2"} {
+		l := n.ConnectAsym(src, n.AddNode(name, 1),
+			netsim.LinkConfig{Bandwidth: 4 * netsim.MB, Delay: 15 * time.Millisecond, QueueLimit: 512},
+			netsim.LinkConfig{Bandwidth: 4 * netsim.MB, Delay: 15 * time.Millisecond})
+		cfg := DefaultConfig(targets[i])
+		snd := mustSender(t, n, l.AB, cfg)
+		rcv := mustReceiver(t, n, l.BA, cfg)
+		rcv.Bind(l.AB)
+		snd.Bind(l.BA)
+		rcv.Start()
+		snd.Start()
+		senders[i] = snd
+	}
+	n.RunFor(40 * time.Second)
+	for i, snd := range senders {
+		mean := MeanGoodput(snd.Trace(), 20*time.Second)
+		if math.Abs(mean-targets[i])/targets[i] > 0.12 {
+			t.Fatalf("flow %d: steady goodput %.0f, want ~%.0f", i, mean, targets[i])
+		}
+	}
+}
+
 func TestReceiverNackGeneration(t *testing.T) {
 	n := netsim.New(1)
 	a := n.AddNode("a", 1)
