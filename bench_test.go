@@ -175,7 +175,11 @@ func BenchmarkDPGreedy(b *testing.B) {
 func BenchmarkCostModelCalibration(b *testing.B) {
 	f := dataset.Generate(dataset.JetSpec.Scaled(8))
 	blocks := grid.Decompose(f, 8)
-	isos := cost.IsovalueSweep(f, 5)
+	mn, mx := f.MinMax()
+	isos := make([]float32, 5) // evenly spaced over the value range's interior
+	for i := range isos {
+		isos[i] = mn + float32(i+1)/6*(mx-mn)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cost.EstimateCaseProbs(f, cost.SampleBlocks(blocks, 4), isos)
@@ -189,7 +193,7 @@ func BenchmarkEPBMeasurement(b *testing.B) {
 		a := n.AddNode("a", 1)
 		c := n.AddNode("c", 1)
 		l := n.Connect(a, c, netsim.LinkConfig{Bandwidth: 8 * netsim.MB, Delay: 20 * time.Millisecond})
-		cost.MeasureEPB(l.AB, nil, 1)
+		cost.MeasureEPBBounded(l.AB, nil, 1, 0)
 	}
 }
 
@@ -263,12 +267,13 @@ func BenchmarkStreamline(b *testing.B) {
 // BenchmarkSoftwareRender rasterizes the Jet isosurface at 256x256.
 func BenchmarkSoftwareRender(b *testing.B) {
 	f := dataset.Generate(dataset.JetSpec.Scaled(8))
-	mesh := marchingcubes.Extract(f, dataset.DefaultIsovalue(dataset.KindJet))
+	mesh := &viz.Mesh{}
+	marchingcubes.ExtractInto(mesh, f, dataset.DefaultIsovalue(dataset.KindJet))
 	opt := render.DefaultOptions()
 	opt.Width, opt.Height = 256, 256
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		render.Render(mesh, opt)
+		render.RenderWith(nil, mesh, opt)
 	}
 }
 

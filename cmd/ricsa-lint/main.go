@@ -1,14 +1,16 @@
 // Command ricsa-lint runs ricsa's project-specific static analyzers — the
-// machine-checked invariants of DESIGN §11: clockdiscipline, hotpathalloc,
-// atomicdiscipline, determinism — over the module and exits non-zero if
-// any finding survives the in-source waivers.
+// machine-checked invariants of DESIGN §12: clockdiscipline, hotpathalloc,
+// atomicdiscipline, determinism, unreachable — over the module and exits
+// non-zero if any finding survives the in-source waivers.
 //
 // Usage:
 //
 //	go run ./cmd/ricsa-lint [-json] [-list] [packages...]
 //
 // Package patterns are module-relative ("./...", "./internal/...",
-// "./internal/steering"); the default is the whole module. -json emits
+// "./internal/steering"); the default is the whole module. Patterns only
+// narrow what is reported: the whole module is always loaded, so
+// reachability is computed from every main and init. -json emits
 // machine-readable findings (file, line, col, rule, message) for CI
 // annotation tooling; -list prints the analyzer suite and exits.
 package main
@@ -43,10 +45,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	units, err := analysis.Load(root, patterns)
+	// Facts are collected over the whole module; only the units matching
+	// the patterns are reported on.
+	all, err := analysis.Load(root)
 	if err != nil {
 		fatal(err)
 	}
+	units := analysis.Select(all, patterns)
 	for _, u := range units {
 		for _, terr := range u.TypeErrs {
 			// A unit that fails to type-check still gets its syntactic
@@ -59,13 +64,14 @@ func main() {
 	report := func(f analysis.Finding) { findings = append(findings, f) }
 	facts := analysis.NewFacts()
 
-	// Phase 1: gather cross-package facts (e.g. the atomic access set)
-	// over every unit before any rule fires.
+	// Phase 1: gather cross-package facts (the atomic access set, the
+	// reachability graph) over every unit of the module before any rule
+	// fires.
 	for _, a := range analyzers {
 		if a.Collect == nil {
 			continue
 		}
-		for _, u := range units {
+		for _, u := range all {
 			a.Collect(analysis.NewPass(u, facts, func(analysis.Finding) {}))
 		}
 	}

@@ -2,8 +2,9 @@
 // machine-checked form of the invariants the last several PRs established
 // by convention — the clock-injection contract (DESIGN §8), the
 // zero-allocation frame data plane (§7.1), the atomic flat-counter
-// telemetry discipline (§9), and the byte-identical determinism contract
-// the scenario engine depends on.
+// telemetry discipline (§9), the byte-identical determinism contract
+// the scenario engine depends on, and the rule that nothing ships that no
+// main reaches (§12).
 //
 // Each check is an *Analyzer whose Run(pass) mirrors the shape of
 // golang.org/x/tools/go/analysis so the suite can later ride
@@ -56,11 +57,14 @@ type Facts struct {
 	// package-level variables) to the position of one sync/atomic access,
 	// recorded by atomicdiscipline's Collect phase.
 	AtomicFields map[string]token.Position
+	// Reach is the module-wide reference graph unreachable's Collect phase
+	// builds and its first Run solves.
+	Reach *reachGraph
 }
 
 // NewFacts returns an empty fact store shared by one driver invocation.
 func NewFacts() *Facts {
-	return &Facts{AtomicFields: map[string]token.Position{}}
+	return &Facts{AtomicFields: map[string]token.Position{}, Reach: newReachGraph()}
 }
 
 // Pass is one analyzer's view of one type-checked package unit, mirroring
@@ -105,19 +109,9 @@ func (p *Pass) Reportf(rule string, pos token.Pos, format string, args ...any) {
 	})
 }
 
-// FileOf returns the *ast.File containing pos, or nil.
-func (p *Pass) FileOf(pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos < f.FileEnd {
-			return f
-		}
-	}
-	return nil
-}
-
-// IsTestFile reports whether pos lies in a _test.go file.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
+// isTestFile reports whether f is a _test.go file.
+func isTestFile(fset *token.FileSet, f *ast.File) bool {
+	return strings.HasSuffix(fset.Position(f.Package).Filename, "_test.go")
 }
 
 // fileWaivers is one file's parsed waiver directives.
@@ -239,5 +233,5 @@ func SortFindings(fs []Finding) {
 
 // All returns the full analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{ClockDiscipline, HotPathAlloc, AtomicDiscipline, Determinism}
+	return []*Analyzer{ClockDiscipline, HotPathAlloc, AtomicDiscipline, Determinism, Unreachable}
 }

@@ -58,7 +58,7 @@ func runClockDiscipline(p *Pass) {
 		return
 	}
 	for _, f := range p.Files {
-		if strings.HasSuffix(p.Fset.Position(f.Package).Filename, "_test.go") && importsPath(f, clockPkgPath) {
+		if isTestFile(p.Fset, f) && importsPath(f, clockPkgPath) {
 			// Virtual-clock test file: the remaining time.* mentions are
 			// deliberate (bounded safety nets around a deterministic core).
 			continue

@@ -156,6 +156,57 @@ func TestDeterminismGolden(t *testing.T) {
 	runGolden(t, "determinism", "ricsa/internal/scenario/golden", Determinism)
 }
 
+func TestUnreachableGolden(t *testing.T) {
+	runGolden(t, "unreachable", "ricsa/internal/unreachdemo", Unreachable)
+}
+
+// TestUnreachableRootsOnRepo pins the analyzer's roots against the module
+// itself: benchmark/ is loaded, and the declarations only its workloads
+// call are live with it and dead without it.
+func TestUnreachableRootsOnRepo(t *testing.T) {
+	units, err := Load("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	solve := func(skip string) *reachGraph {
+		facts := NewFacts()
+		for _, u := range units {
+			if u.Path != skip {
+				Unreachable.Collect(NewPass(u, facts, func(Finding) {}))
+			}
+		}
+		facts.Reach.solve()
+		return facts.Reach
+	}
+	loaded := false
+	for _, u := range units {
+		if u.Path == "ricsa/benchmark" {
+			loaded = true
+			for _, err := range u.TypeErrs {
+				t.Errorf("ricsa/benchmark: %v", err)
+			}
+		}
+	}
+	if !loaded {
+		t.Fatal("ricsa/benchmark was not loaded")
+	}
+	with, without := solve(""), solve("ricsa/benchmark")
+	for _, key := range []string{
+		"ricsa/internal/viz.ParseDeltaFrame",
+		"ricsa/internal/viz.DeltaDecoder",
+		"ricsa/internal/steering.ManagedSession.Renders",
+		"ricsa/internal/steering.ManagedSession.AttachViewer",
+		"ricsa/internal/netsim.Link.SetDelay",
+	} {
+		if !with.live[key] {
+			t.Errorf("%s is flagged although benchmark/ calls it", key)
+		}
+		if without.live[key] {
+			t.Errorf("%s is live without benchmark/; the pin no longer proves benchmark/ is a root", key)
+		}
+	}
+}
+
 // TestFindingJSON pins the machine-readable shape ricsa-lint -json emits.
 func TestFindingJSON(t *testing.T) {
 	b, err := json.Marshal(Finding{File: "x.go", Line: 3, Col: 7, Rule: "determinism", Message: "m"})

@@ -23,6 +23,7 @@ import (
 // to each.
 type Unit struct {
 	Path     string // import path within the module
+	Rel      string // directory relative to the module root, slash-separated
 	Dir      string
 	Fset     *token.FileSet
 	Files    []*ast.File
@@ -31,16 +32,18 @@ type Unit struct {
 	TypeErrs []error
 }
 
-// Load enumerates the module's packages under root matching patterns
-// ("./..." style; "./x/..." prefix; "./x" exact; default everything),
-// parses and type-checks each with the std-library source importer, and
-// returns the units in deterministic (path-sorted) order.
+// Load enumerates every package of the module containing root, parses and
+// type-checks each with the std-library source importer, and returns the
+// units in deterministic (path-sorted) order. It always loads the whole
+// module, because cross-package facts (the atomic access set, the
+// reachability graph) are only sound over all of it; Select narrows the
+// units a driver reports on.
 //
 // Type errors do not abort the load: the offending unit is still returned
 // (with partial type info) so syntactic checks can run, and the errors are
 // surfaced in TypeErrs for the driver to report. Directories named
 // testdata, vendored trees, and hidden directories are skipped.
-func Load(root string, patterns []string) ([]*Unit, error) {
+func Load(root string) ([]*Unit, error) {
 	modRoot, modPath, err := findModule(root)
 	if err != nil {
 		return nil, err
@@ -65,12 +68,12 @@ func Load(root string, patterns []string) ([]*Unit, error) {
 		if rel != "." {
 			path = modPath + "/" + filepath.ToSlash(rel)
 		}
-		if !matchesAny(patterns, rel) {
-			continue
-		}
 		us, err := loadDir(fset, imp, dir, path)
 		if err != nil {
 			return nil, err
+		}
+		for _, u := range us {
+			u.Rel = filepath.ToSlash(rel)
 		}
 		units = append(units, us...)
 	}
@@ -130,8 +133,12 @@ func findModule(root string) (modRoot, modPath string, err error) {
 	}
 }
 
+// packageDirs lists each directory holding .go files once. The walk
+// revisits a directory's files after its subdirectories (viz's tier.go
+// sorts after viz/render/), so "differs from the last entry" is not enough.
 func packageDirs(modRoot string) ([]string, error) {
 	var dirs []string
+	seen := map[string]bool{}
 	err := filepath.WalkDir(modRoot, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -145,8 +152,8 @@ func packageDirs(modRoot string) ([]string, error) {
 			return nil
 		}
 		if strings.HasSuffix(path, ".go") {
-			dir := filepath.Dir(path)
-			if len(dirs) == 0 || dirs[len(dirs)-1] != dir {
+			if dir := filepath.Dir(path); !seen[dir] {
+				seen[dir] = true
 				dirs = append(dirs, dir)
 			}
 		}
@@ -155,11 +162,22 @@ func packageDirs(modRoot string) ([]string, error) {
 	return dirs, err
 }
 
+// Select returns the units matching patterns ("./..." style; "./x/..."
+// prefix; "./x" exact; none means every unit).
+func Select(units []*Unit, patterns []string) []*Unit {
+	var out []*Unit
+	for _, u := range units {
+		if matchesAny(patterns, u.Rel) {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
 func matchesAny(patterns []string, rel string) bool {
 	if len(patterns) == 0 {
 		return true
 	}
-	rel = filepath.ToSlash(rel)
 	for _, pat := range patterns {
 		pat = strings.TrimPrefix(filepath.ToSlash(pat), "./")
 		switch {
@@ -251,9 +269,32 @@ func loadDir(fset *token.FileSet, imp types.Importer, dir, path string) ([]*Unit
 		units = append(units, typecheck(fset, imp, dir, path, path, compiled))
 	}
 	if len(external) > 0 {
+		// As under go test, the external test package imports the package
+		// compiled with its in-package test files (export_test.go).
+		if len(units) > 0 {
+			imp = withPackage{imp.(types.ImporterFrom), units[0].Pkg}
+		}
 		units = append(units, typecheck(fset, imp, dir, path, path+".test", external))
 	}
 	return units, nil
+}
+
+// withPackage is an importer that resolves one import path to an already
+// type-checked package.
+type withPackage struct {
+	types.ImporterFrom
+	pkg *types.Package
+}
+
+func (w withPackage) Import(path string) (*types.Package, error) {
+	return w.ImportFrom(path, "", 0)
+}
+
+func (w withPackage) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if path == w.pkg.Path() {
+		return w.pkg, nil
+	}
+	return w.ImporterFrom.ImportFrom(path, dir, mode)
 }
 
 func typecheck(fset *token.FileSet, imp types.Importer, dir, path, checkAs string, files []*ast.File) *Unit {

@@ -25,8 +25,6 @@ type Clock interface {
 	Since(t time.Time) time.Duration
 	// NewTimer returns an armed Timer that fires once after d.
 	NewTimer(d time.Duration) Timer
-	// Sleep blocks the calling goroutine for d of this clock's time.
-	Sleep(d time.Duration)
 }
 
 // Timer is a resettable one-shot timer bound to a Clock.
@@ -49,7 +47,6 @@ type wallClock struct{}
 
 func (wallClock) Now() time.Time                  { return time.Now() }
 func (wallClock) Since(t time.Time) time.Duration { return time.Since(t) }
-func (wallClock) Sleep(d time.Duration)           { time.Sleep(d) }
 func (wallClock) NewTimer(d time.Duration) Timer  { return wallTimer{time.NewTimer(d)} }
 
 type wallTimer struct{ t *time.Timer }

@@ -109,23 +109,6 @@ func TestVirtualPeriodicLoopRendezvous(t *testing.T) {
 	}
 }
 
-func TestVirtualSleepCountsAsWaiter(t *testing.T) {
-	epoch := time.Unix(0, 0)
-	v := NewVirtual(epoch)
-	woke := make(chan struct{})
-	go func() {
-		v.Sleep(50 * time.Millisecond)
-		close(woke)
-	}()
-	v.AwaitArmed(1)
-	v.AdvanceTo(epoch.Add(50 * time.Millisecond))
-	select {
-	case <-woke:
-	case <-time.After(5 * time.Second):
-		t.Fatal("sleeper never woke")
-	}
-}
-
 func TestVirtualWatchdogPanicsOnWedge(t *testing.T) {
 	v := NewVirtual(time.Unix(0, 0))
 	v.SetWatchdog(50 * time.Millisecond)

@@ -11,7 +11,7 @@ import (
 // a coordinator calls AdvanceTo; armed timers fire strictly in (deadline,
 // arm-order) order, one at a time. After each fire the clock waits for the
 // woken goroutine to acknowledge — its next Reset (periodic loops re-arming)
-// or Stop (loops shutting down; Sleep acks internally) on the fired timer —
+// or Stop (loops shutting down) on the fired timer —
 // before firing the next timer, so exactly one control goroutine runs at any
 // moment and a fixed set of control loops replays bit-identically.
 //
@@ -23,7 +23,7 @@ type Virtual struct {
 	cond *sync.Cond
 	now  time.Time
 	seq  uint64
-	// armed holds every currently armed timer plus every Sleep in progress.
+	// armed holds every currently armed timer.
 	armed map[*vtimer]struct{}
 	// inflight is the timer whose fire has been delivered but not yet
 	// acknowledged by the consumer's Reset/Stop. The clock is quiescent
@@ -53,7 +53,9 @@ func (v *Virtual) Now() time.Time {
 // Since returns virtual time elapsed since t.
 func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
 
-// Armed reports the number of armed timers (including Sleeps in progress).
+// Armed reports the number of armed timers.
+//
+//ricsa:allow unreachable test support: cm's TestBackgroundProberTicks checks that Stop disarms the prober's timer
 func (v *Virtual) Armed() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -75,16 +77,6 @@ func (v *Virtual) NewTimer(d time.Duration) Timer {
 	t := &vtimer{v: v, ch: make(chan time.Time, 1)}
 	v.armLocked(t, d)
 	return t
-}
-
-// Sleep blocks until the coordinator advances past now+d. The sleeper
-// counts as an armed waiter while blocked; waking acknowledges the fire, so
-// any work after Sleep returns runs concurrently with the coordinator —
-// control loops should use NewTimer/Reset instead.
-func (v *Virtual) Sleep(d time.Duration) {
-	t := v.NewTimer(d)
-	<-t.C()
-	t.Stop() // acknowledge
 }
 
 func (v *Virtual) armLocked(t *vtimer, d time.Duration) {
@@ -195,6 +187,8 @@ func (v *Virtual) AdvanceTo(target time.Time) {
 }
 
 // Advance is AdvanceTo(Now()+d).
+//
+//ricsa:allow unreachable test support: the virtual-clock tests of cm (TestBackgroundProberTicks), steering (TestPredictedDelayChargedToPacing) and webui (TestSteerEndpoint, TestStatusEndpoint and four more)
 func (v *Virtual) Advance(d time.Duration) {
 	v.AdvanceTo(v.Now().Add(d))
 }

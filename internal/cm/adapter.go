@@ -13,8 +13,7 @@ type Adapter struct {
 	tol    float64
 	window int
 
-	streak   int
-	triggers uint64
+	streak int
 }
 
 // NewAdapter builds an Adapter with the Manager's configured deviation
@@ -48,7 +47,6 @@ func (a *Adapter) Observe(observed, predicted float64) bool {
 		return false
 	}
 	a.streak = 0
-	a.triggers++
 	if a.m != nil {
 		a.m.noteAdaptation()
 	}
@@ -58,6 +56,3 @@ func (a *Adapter) Observe(observed, predicted float64) bool {
 // Reset clears the deviation streak — call after installing a new VRT so
 // the fresh mapping starts with a clean slate.
 func (a *Adapter) Reset() { a.streak = 0 }
-
-// Triggers reports how many times this Adapter fired.
-func (a *Adapter) Triggers() uint64 { return a.triggers }

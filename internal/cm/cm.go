@@ -204,10 +204,6 @@ func (m *Manager) bind(net *netsim.Network) {
 	nodes := net.Nodes()
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
 	m.net = net
-	// Published graph snapshots alias the node inventory (NewGraph and
-	// ApplyEdgeUpdates share the Nodes slice), so rebinding must build a
-	// fresh slice — reusing the backing array would mutate snapshots that
-	// concurrent optimizer calls are reading.
 	m.nodes = make([]pipeline.Node, 0, len(nodes))
 	m.idx = make(map[string]int, len(nodes))
 	for i, nd := range nodes {
@@ -221,48 +217,14 @@ func (m *Manager) bind(net *netsim.Network) {
 			ParallelOverhead: DefaultParallelOverhead,
 		})
 	}
-	prior := make(map[string]*edgeState, len(m.edges))
-	for _, e := range m.edges {
-		prior[e.from+"->"+e.to] = e
-	}
-	m.edges = make([]*edgeState, 0, len(prior))
-	// The round-robin cursor indexed the old edge list; restart the pass.
-	m.cursor = 0
 	for _, l := range net.Links() {
 		for _, ch := range []*netsim.Channel{l.AB, l.BA} {
-			st := prior[ch.From.Name+"->"+ch.To.Name]
-			if st == nil {
-				st = &edgeState{from: ch.From.Name, to: ch.To.Name}
-			}
-			st.ch = ch
-			st.fromIdx = m.idx[ch.From.Name]
-			st.toIdx = m.idx[ch.To.Name]
-			m.edges = append(m.edges, st)
+			m.edges = append(m.edges, &edgeState{
+				from: ch.From.Name, to: ch.To.Name, ch: ch,
+				fromIdx: m.idx[ch.From.Name], toIdx: m.idx[ch.To.Name],
+			})
 		}
 	}
-}
-
-// AdoptNetwork rebinds the Manager to a fresh emulation of the same
-// topology (a new measurement epoch of the same six-site testbed, say) and
-// runs a gated full sweep. Estimates carry over by edge name, so a new
-// network exhibiting the same conditions produces no graph re-stamp — and
-// therefore no cache misses. The node-name set must match the original.
-func (m *Manager) AdoptNetwork(net *netsim.Network) error {
-	m.mu.Lock()
-	if len(net.Nodes()) != len(m.nodes) {
-		m.mu.Unlock()
-		return fmt.Errorf("cm: adopted network has %d nodes, want %d", len(net.Nodes()), len(m.nodes))
-	}
-	for _, nd := range net.Nodes() {
-		if _, ok := m.idx[nd.Name]; !ok {
-			m.mu.Unlock()
-			return fmt.Errorf("cm: adopted network adds unknown node %q", nd.Name)
-		}
-	}
-	m.bind(net)
-	m.measureAllLocked(m.cfg.ProbeSizes, m.cfg.ProbeRepeats)
-	m.mu.Unlock()
-	return nil
 }
 
 // MeasureAll runs a full authoritative probing sweep with the configured
@@ -442,9 +404,6 @@ func (m *Manager) Network() *netsim.Network {
 	defer m.mu.Unlock()
 	return m.net
 }
-
-// Cache exposes the shared memoized optimizer.
-func (m *Manager) Cache() *pipeline.Cache { return m.cache }
 
 // CacheStats reports the shared optimizer-cache counters.
 func (m *Manager) CacheStats() pipeline.CacheStats { return m.cache.Stats() }

@@ -62,81 +62,6 @@ func TestNewMeasuresEveryEdge(t *testing.T) {
 	}
 }
 
-// TestAdoptSameConditionsKeepsRev is the tolerance gate's core promise: a
-// fresh emulation of identical conditions (same seed, same config) measures
-// the same, so the graph keeps its Rev and cached mappings keep hitting.
-func TestAdoptSameConditionsKeepsRev(t *testing.T) {
-	m := New(quietTestbed(42), testConfig())
-	rev := m.Graph().Rev
-
-	if _, err := m.Optimize(testPipeline(), netsim.GaTech, netsim.ORNL); err != nil {
-		t.Fatal(err)
-	}
-	missesBefore := m.CacheStats().Misses
-
-	if err := m.AdoptNetwork(quietTestbed(42)); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Graph().Rev; got != rev {
-		t.Fatalf("no-op remeasure re-stamped the graph: rev %d -> %d", rev, got)
-	}
-	if _, err := m.Optimize(testPipeline(), netsim.GaTech, netsim.ORNL); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.CacheStats().Misses; got != missesBefore {
-		t.Fatalf("no-op remeasure caused %d new cache misses", got-missesBefore)
-	}
-	if m.Restamps() != 0 {
-		t.Fatalf("restamps %d after no-op remeasure, want 0", m.Restamps())
-	}
-}
-
-// TestAdoptDoesNotMutateHeldSnapshots pins the immutability contract:
-// published graphs alias the Manager's node inventory, so rebinding to a
-// new network must not write through a snapshot a concurrent optimizer is
-// reading. (Run under -race this doubles as a data-race regression test.)
-func TestAdoptDoesNotMutateHeldSnapshots(t *testing.T) {
-	m := New(quietTestbed(42), testConfig())
-	g := m.Graph()
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			for i := range g.Nodes {
-				_ = g.Nodes[i].Power
-			}
-			_, _ = m.Optimize(testPipeline(), netsim.GaTech, netsim.ORNL)
-		}
-	}()
-	for i := 0; i < 5; i++ {
-		if err := m.AdoptNetwork(quietTestbed(int64(43 + i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	<-done
-	if len(g.Nodes) != 6 {
-		t.Fatalf("held snapshot changed shape: %d nodes", len(g.Nodes))
-	}
-}
-
-func TestAdoptRejectsForeignTopology(t *testing.T) {
-	m := New(quietTestbed(1), testConfig())
-	n := netsim.New(1)
-	a := n.AddNode("a", 1)
-	b := n.AddNode("b", 1)
-	n.Connect(a, b, netsim.LinkConfig{Bandwidth: netsim.MB, Delay: time.Millisecond})
-	if err := m.AdoptNetwork(n); err == nil {
-		t.Fatal("foreign topology adopted")
-	}
-}
-
 // TestProbeTickDetectsDegradation drives the Prober round-robin until it
 // re-probes a collapsed link, and checks the graph is re-stamped and the
 // optimizer avoids the dead edge.
@@ -264,9 +189,6 @@ func TestAdapterWindow(t *testing.T) {
 	a.Observe(1.0, 1.0)
 	if a.Observe(2.0, 1.0) {
 		t.Fatal("healthy frame did not reset the streak")
-	}
-	if a.Triggers() != 1 {
-		t.Fatalf("triggers %d, want 1", a.Triggers())
 	}
 	if m.Adaptations() != 1 {
 		t.Fatalf("manager adaptations %d, want 1", m.Adaptations())

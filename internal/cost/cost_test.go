@@ -149,9 +149,29 @@ func TestNonemptyFraction(t *testing.T) {
 	}
 }
 
+// timingRuns is how many times the wall-clock timing tests repeat both the
+// calibration and the measured run, keeping the minimum of each: one run
+// is at the mercy of whatever else the machine is doing (another package's
+// tests under `go test ./...`), the fastest of several is not.
+const timingRuns = 5
+
+// minSeconds returns the fastest of timingRuns wall-clock runs of fn.
+func minSeconds(fn func()) float64 {
+	best := math.Inf(1)
+	for i := 0; i < timingRuns; i++ {
+		start := time.Now()
+		fn()
+		best = math.Min(best, time.Since(start).Seconds())
+	}
+	return best
+}
+
 func TestMeasureRaycastTimingPredicts(t *testing.T) {
 	f := dataset.Generate(dataset.JetSpec.Scaled(16))
-	m := MeasureRaycastTiming(f, 32, 32)
+	m := RaycastModel{TSample: math.Inf(1)}
+	for i := 0; i < timingRuns; i++ {
+		m.TSample = math.Min(m.TSample, MeasureRaycastTiming(f, 32, 32).TSample)
+	}
 	if m.TSample <= 0 {
 		t.Fatal("nonpositive TSample")
 	}
@@ -162,9 +182,7 @@ func TestMeasureRaycastTimingPredicts(t *testing.T) {
 	opt.Workers = 1
 	n := raycast.SamplesPerRay(f, opt.Step)
 	pred := m.Time(64*64, n, 1)
-	start := time.Now()
-	raycast.Render(f, opt)
-	actual := time.Since(start).Seconds()
+	actual := minSeconds(func() { raycast.Render(f, opt) })
 	if pred <= 0 || actual <= 0 {
 		t.Fatal("degenerate timing")
 	}
@@ -185,7 +203,10 @@ func TestMeasureStreamlineTimingPredicts(t *testing.T) {
 	f := dataset.Generate(dataset.JetSpec.Scaled(16))
 	vf := dataset.VelocityFromScalar(f)
 	seeds := streamline.SeedGrid(vf, 4, 4, 4)
-	m := MeasureStreamlineTiming(vf, seeds, 64)
+	m := StreamlineModel{TAdvection: math.Inf(1)}
+	for i := 0; i < timingRuns; i++ {
+		m.TAdvection = math.Min(m.TAdvection, MeasureStreamlineTiming(vf, seeds, 64).TAdvection)
+	}
 	if m.TAdvection <= 0 {
 		t.Fatal("nonpositive TAdvection")
 	}
@@ -193,9 +214,8 @@ func TestMeasureStreamlineTimingPredicts(t *testing.T) {
 	opt := streamline.DefaultOptions()
 	opt.Steps = 64
 	opt.Workers = 1
-	start := time.Now()
-	lines := streamline.Trace(vf, seeds, opt)
-	actual := time.Since(start).Seconds()
+	var lines []streamline.Line
+	actual := minSeconds(func() { lines = streamline.Trace(vf, seeds, opt) })
 	predBudget := m.Time(len(seeds), 64)
 	steps := streamline.TotalAdvections(lines)
 	if steps == 0 {
@@ -227,7 +247,7 @@ func TestMeasureEPBRecoversChannelParameters(t *testing.T) {
 	delay := 25 * time.Millisecond
 	l := n.Connect(a, b, netsim.LinkConfig{Bandwidth: bw, Delay: delay})
 
-	est := MeasureEPB(l.AB, nil, 1)
+	est := MeasureEPBBounded(l.AB, nil, 1, 0)
 	if math.Abs(est.EPB-bw)/bw > 0.05 {
 		t.Fatalf("EPB %.0f, want ~%.0f", est.EPB, bw)
 	}
@@ -248,7 +268,7 @@ func TestMeasureEPBUnderCrossTraffic(t *testing.T) {
 		Bandwidth: bw, Delay: 10 * time.Millisecond,
 		Cross: netsim.DefaultCrossTraffic(0.7),
 	})
-	est := MeasureEPB(l.AB, nil, 3)
+	est := MeasureEPBBounded(l.AB, nil, 3, 0)
 	// Effective bandwidth should be near 70% of capacity, definitely below
 	// the raw capacity.
 	if est.EPB >= bw {
@@ -269,12 +289,12 @@ func TestMeasureEPBConfidence(t *testing.T) {
 	b := n.AddNode("b", 1)
 	l := n.Connect(a, b, netsim.LinkConfig{Bandwidth: 8 * netsim.MB, Delay: 20 * time.Millisecond})
 
-	clean := MeasureEPB(l.AB, nil, 1)
+	clean := MeasureEPBBounded(l.AB, nil, 1, 0)
 	if clean.Confidence < 0.95 || clean.Confidence > 1 {
 		t.Fatalf("clean full-sweep confidence %v, want ~1", clean.Confidence)
 	}
 
-	short := MeasureEPB(l.AB, []int{256 << 10, 1 << 20}, 1)
+	short := MeasureEPBBounded(l.AB, []int{256 << 10, 1 << 20}, 1, 0)
 	if short.Confidence > 0.5 {
 		t.Fatalf("two-point sweep confidence %v, want <= 0.5", short.Confidence)
 	}
@@ -290,7 +310,7 @@ func TestMeasureEPBConfidence(t *testing.T) {
 		Bandwidth: 10 * netsim.MB, Delay: 10 * time.Millisecond,
 		Cross: netsim.DefaultCrossTraffic(0.5),
 	})
-	noisy := MeasureEPB(lc.AB, nil, 1)
+	noisy := MeasureEPBBounded(lc.AB, nil, 1, 0)
 	if noisy.Confidence >= clean.Confidence {
 		t.Fatalf("noisy confidence %v not below clean %v", noisy.Confidence, clean.Confidence)
 	}
@@ -315,7 +335,7 @@ func TestEPBPredictionMatchesMeasuredTransfer(t *testing.T) {
 	a := n.AddNode("a", 1)
 	b := n.AddNode("b", 1)
 	l := n.Connect(a, b, netsim.LinkConfig{Bandwidth: 6 * netsim.MB, Delay: 15 * time.Millisecond})
-	est := MeasureEPB(l.AB, nil, 1)
+	est := MeasureEPBBounded(l.AB, nil, 1, 0)
 	size := 3 * netsim.MB
 	pred := est.TransferTime(size)
 	actual := netsim.MeasureBulk(l.AB, size)

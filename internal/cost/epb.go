@@ -35,15 +35,6 @@ type PathEstimate struct {
 	LossConf float64
 }
 
-// TransferTime predicts the delay of moving size bytes over the path using
-// the linear model d(P, r) = r/EPB + d0.
-func (p PathEstimate) TransferTime(size int) time.Duration {
-	if p.EPB <= 0 {
-		return time.Duration(math.MaxInt64 / 2)
-	}
-	return time.Duration(float64(size)/p.EPB*float64(time.Second)) + p.MinDelay
-}
-
 // DefaultProbeSizes is the test-message size sweep used by active
 // measurement: spanning two orders of magnitude so the regression separates
 // the bandwidth-constrained term from the fixed delay.
@@ -54,20 +45,18 @@ func DefaultProbeSizes() []int {
 	}
 }
 
-// MeasureEPB sends test messages of the given sizes over the channel,
-// measures their end-to-end delays on the virtual clock, and fits the
-// linear model by least squares. The caller must own the event loop (no
-// other traffic on the channel during measurement). Each size is probed
-// repeats times and delays averaged, smoothing cross-traffic noise.
-func MeasureEPB(ch *netsim.Channel, sizes []int, repeats int) PathEstimate {
-	return MeasureEPBBounded(ch, sizes, repeats, 0)
-}
-
-// MeasureEPBBounded is MeasureEPB with a per-transfer virtual-time budget
-// (<= 0 means unbounded). The first transfer that fails to complete within
-// the budget aborts the sweep and returns a TimedOut estimate: a dark link
-// would otherwise stall the prober forever. Completed sweeps produce event
-// sequences identical to the unbounded path.
+// MeasureEPBBounded sends test messages of the given sizes over the
+// channel, measures their end-to-end delays on the virtual clock, and fits
+// the linear model d(P, r) = r/EPB + d0 by least squares. The caller must
+// own the event loop (no other traffic on the channel during measurement).
+// Each size is probed repeats times and delays averaged, smoothing
+// cross-traffic noise.
+//
+// budget is a per-transfer virtual-time limit (<= 0 means unbounded). The
+// first transfer that fails to complete within it aborts the sweep and
+// returns a TimedOut estimate: a dark link would otherwise stall the prober
+// forever. Completed sweeps produce event sequences identical to the
+// unbounded path.
 func MeasureEPBBounded(ch *netsim.Channel, sizes []int, repeats int, budget time.Duration) PathEstimate {
 	if len(sizes) == 0 {
 		sizes = DefaultProbeSizes()

@@ -204,18 +204,3 @@ func SampleBlocks(blocks []grid.Block, stride int) []grid.Block {
 	}
 	return out
 }
-
-// IsovalueSweep returns n isovalues evenly spanning the field's value range
-// interior (excluding the exact min/max, which yield empty surfaces).
-func IsovalueSweep(f *grid.ScalarField, n int) []float32 {
-	mn, mx := f.MinMax()
-	if n < 1 {
-		n = 1
-	}
-	out := make([]float32, n)
-	for i := range out {
-		t := (float64(i) + 1) / (float64(n) + 1)
-		out[i] = mn + float32(t)*(mx-mn)
-	}
-	return out
-}

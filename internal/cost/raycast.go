@@ -31,22 +31,6 @@ func (m *RaycastModel) Time(nRays, nSamples int, blockFraction float64) float64 
 	return float64(nRays) * float64(nSamples) * blockFraction * m.TSample
 }
 
-// NonemptyFraction computes the fraction of blocks whose value range is not
-// entirely transparent under a threshold (samples below it map to zero
-// opacity), the n_blocks/total ratio of Eq. 7.
-func NonemptyFraction(blocks []grid.Block, transparentBelow float32) float64 {
-	if len(blocks) == 0 {
-		return 0
-	}
-	n := 0
-	for _, b := range blocks {
-		if b.Max > transparentBelow {
-			n++
-		}
-	}
-	return float64(n) / float64(len(blocks))
-}
-
 // MeasureRaycastTiming calibrates TSample by rendering a small test volume
 // and dividing wall time by the total sample count, mirroring the paper's
 // "easily computed by running ray casting algorithm on a test dataset for
@@ -61,10 +45,4 @@ func MeasureRaycastTiming(f *grid.ScalarField, width, height int) RaycastModel {
 	elapsed := time.Since(start).Seconds()
 	total := float64(width*height) * float64(nSamples)
 	return RaycastModel{TSample: elapsed / total}
-}
-
-// SyntheticRaycastTiming returns a deterministic per-sample cost on the
-// nominal reference node.
-func SyntheticRaycastTiming(tSample float64) RaycastModel {
-	return RaycastModel{TSample: tSample}
 }

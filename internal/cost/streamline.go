@@ -18,11 +18,6 @@ type StreamlineModel struct {
 	TAdvection float64
 }
 
-// Time evaluates Eq. 8.
-func (m *StreamlineModel) Time(nSeeds, nSteps int) float64 {
-	return float64(nSeeds) * float64(nSteps) * m.TAdvection
-}
-
 // MeasureStreamlineTiming calibrates T_advection by tracing seeds through a
 // test field and dividing wall time by the advection steps actually taken
 // ("running the streamline algorithm on a test data set and recording the
@@ -39,10 +34,4 @@ func MeasureStreamlineTiming(f *grid.VectorField, seeds []viz.Vec3, steps int) S
 		return StreamlineModel{}
 	}
 	return StreamlineModel{TAdvection: elapsed / float64(n)}
-}
-
-// SyntheticStreamlineTiming returns a deterministic per-advection cost on
-// the nominal reference node.
-func SyntheticStreamlineTiming(tAdvection float64) StreamlineModel {
-	return StreamlineModel{TAdvection: tAdvection}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ricsa/internal/grid"
+	"ricsa/internal/viz"
 	"ricsa/internal/viz/marchingcubes"
 )
 
@@ -38,7 +39,8 @@ func TestGeneratorsProduceIsosurfaces(t *testing.T) {
 		if !(mn < iso && iso < mx) {
 			t.Fatalf("%s: isovalue %v outside range [%v, %v]", s.Name, iso, mn, mx)
 		}
-		m := marchingcubes.Extract(f, iso)
+		m := &viz.Mesh{}
+		marchingcubes.ExtractInto(m, f, iso)
 		if m.TriangleCount() == 0 {
 			t.Fatalf("%s: default isovalue extracts nothing", s.Name)
 		}
@@ -75,8 +77,8 @@ func TestGeneratorsAreSparse(t *testing.T) {
 func TestVelocityFromScalarNonTrivial(t *testing.T) {
 	f := Generate(JetSpec.Scaled(16))
 	vf := VelocityFromScalar(f)
-	if vf.SizeBytes() != 3*f.SizeBytes() {
-		t.Fatalf("vector field size %d, want %d", vf.SizeBytes(), 3*f.SizeBytes())
+	if len(vf.U) != len(f.Data) || len(vf.V) != len(f.Data) || len(vf.W) != len(f.Data) {
+		t.Fatalf("vector field has %d/%d/%d samples, want %d", len(vf.U), len(vf.V), len(vf.W), len(f.Data))
 	}
 	var nonzero bool
 	for i := range vf.U {

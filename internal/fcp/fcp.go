@@ -91,10 +91,6 @@ func NewPool(slots int) *Pool {
 	return p
 }
 
-// Slots reports the pool's total parallelism: worker goroutines plus the
-// submitting caller. Kernels size per-slot scratch to this.
-func (p *Pool) Slots() int { return p.slots }
-
 // Close stops the worker goroutines after the open batches drain. Queues
 // remain usable: with no workers left, Run executes batches inline on the
 // caller, so closing mid-flight degrades throughput, never correctness.

@@ -27,9 +27,6 @@ func NewScalarField(nx, ny, nz int) *ScalarField {
 	return &ScalarField{NX: nx, NY: ny, NZ: nz, Data: make([]float32, nx*ny*nz)}
 }
 
-// Index returns the flat index of lattice point (x, y, z).
-func (f *ScalarField) Index(x, y, z int) int { return (z*f.NY+y)*f.NX + x }
-
 // At returns the sample at (x, y, z).
 func (f *ScalarField) At(x, y, z int) float32 { return f.Data[(z*f.NY+y)*f.NX+x] }
 
@@ -39,9 +36,6 @@ func (f *ScalarField) Set(x, y, z int, v float32) { f.Data[(z*f.NY+y)*f.NX+x] = 
 // SizeBytes returns the payload size of the raw samples, the quantity the
 // transfer-time models charge for.
 func (f *ScalarField) SizeBytes() int { return 4 * len(f.Data) }
-
-// Cells returns the number of cells (voxels), (NX-1)(NY-1)(NZ-1).
-func (f *ScalarField) Cells() int { return (f.NX - 1) * (f.NY - 1) * (f.NZ - 1) }
 
 // MinMax returns the smallest and largest sample values.
 func (f *ScalarField) MinMax() (float32, float32) {
@@ -132,29 +126,6 @@ func (f *ScalarField) WriteTo(w io.Writer) (int64, error) {
 	return total + int64(n), err
 }
 
-// ReadScalarField deserializes a field written by WriteTo.
-func ReadScalarField(r io.Reader) (*ScalarField, error) {
-	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, fmt.Errorf("grid: reading header: %w", err)
-	}
-	nx := int(binary.LittleEndian.Uint32(hdr[0:]))
-	ny := int(binary.LittleEndian.Uint32(hdr[4:]))
-	nz := int(binary.LittleEndian.Uint32(hdr[8:]))
-	if nx < 1 || ny < 1 || nz < 1 || nx > 1<<14 || ny > 1<<14 || nz > 1<<14 {
-		return nil, fmt.Errorf("grid: implausible dimensions %dx%dx%d", nx, ny, nz)
-	}
-	f := NewScalarField(nx, ny, nz)
-	buf := make([]byte, 4*len(f.Data))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, fmt.Errorf("grid: reading samples: %w", err)
-	}
-	for i := range f.Data {
-		f.Data[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
-	}
-	return f, nil
-}
-
 // VectorField is a regular grid of 3-component float32 vectors, used by the
 // streamline module.
 type VectorField struct {
@@ -174,9 +145,6 @@ func (f *VectorField) Set(x, y, z int, u, v, w float32) {
 	i := (z*f.NY+y)*f.NX + x
 	f.U[i], f.V[i], f.W[i] = u, v, w
 }
-
-// SizeBytes returns the payload size of the raw vectors.
-func (f *VectorField) SizeBytes() int { return 12 * len(f.U) }
 
 // Sample returns the trilinearly interpolated vector at continuous position
 // (x, y, z); positions outside the grid are clamped.

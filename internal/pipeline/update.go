@@ -56,8 +56,3 @@ func (g *Graph) ApplyEdgeUpdates(ups []EdgeUpdate) *Graph {
 	}
 	return out
 }
-
-// Restamp assigns g a fresh revision token. Owners that mutate a stamped
-// graph in place must call this (or zero Rev) before the next cache lookup;
-// ApplyEdgeUpdates does it automatically for its copy.
-func (g *Graph) Restamp() { g.Rev = NextGraphRev() }

@@ -103,7 +103,7 @@ func TestApplyEdgeUpdatesCacheInteraction(t *testing.T) {
 func TestRestamp(t *testing.T) {
 	g := updateTestGraph()
 	old := g.Rev
-	g.Restamp()
+	g.Rev = NextGraphRev()
 	if g.Rev == old || g.Rev == 0 {
 		t.Fatalf("Restamp rev %d, old %d", g.Rev, old)
 	}

@@ -2,11 +2,9 @@ package scenario
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"ricsa/internal/cost"
-	"ricsa/internal/netsim"
 	"ricsa/internal/steering"
 )
 
@@ -89,26 +87,6 @@ func PollViewers(at time.Duration, aliases ...string) Event {
 func CloseViewers(at time.Duration, alias string, n int) Event {
 	return Event{At: at, Name: fmt.Sprintf("close-viewers alias=%s n=%d", alias, n),
 		Apply: func(e *Engine) error { return e.CloseViewersNow(alias, n) }}
-}
-
-// Steer applies steering parameters to the aliased session.
-func Steer(at time.Duration, alias string, params map[string]float64) Event {
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	name := "steer alias=" + alias
-	for _, k := range keys {
-		name += fmt.Sprintf(" %s=%g", k, params[k])
-	}
-	return Event{At: at, Name: name, Apply: func(e *Engine) error {
-		s, err := e.Session(alias)
-		if err != nil {
-			return err
-		}
-		return s.Steer(params)
-	}}
 }
 
 // ScaleLink multiplies both directions of a link's bandwidth by factor —
@@ -209,22 +187,6 @@ func TierFrameTrain(at time.Duration, label, a, b string, frames, size int, hint
 		Name: fmt.Sprintf("tier-frame-train label=%s %s->%s frames=%d size=%d hint=%s", label, a, b, frames, size, hint),
 		Apply: func(e *Engine) error {
 			return e.MeasureTierFrameTrainNow(at, label, a, b, frames, size, hint)
-		}}
-}
-
-// CrossBurst replaces a link's cross-traffic process with a heavier one
-// leaving only mean availability (each direction gets its own process
-// state, as the testbed builder does).
-func CrossBurst(at time.Duration, a, b string, mean float64) Event {
-	return Event{At: at, Name: fmt.Sprintf("cross-burst %s-%s mean=%g", a, b, mean),
-		Apply: func(e *Engine) error {
-			l, err := e.Link(a, b)
-			if err != nil {
-				return err
-			}
-			l.AB.SetCross(netsim.DefaultCrossTraffic(mean))
-			l.BA.SetCross(netsim.DefaultCrossTraffic(mean))
-			return nil
 		}}
 }
 

@@ -249,9 +249,6 @@ type Engine struct {
 	res     *Result
 }
 
-// Mgr exposes the live service under test.
-func (e *Engine) Mgr() *steering.SessionManager { return e.mgr }
-
 // CM exposes the shared control loop.
 func (e *Engine) CM() *cm.Manager { return e.mgr.CM() }
 

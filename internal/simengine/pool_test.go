@@ -35,8 +35,8 @@ func TestPooledSweepsBitIdenticalToInline(t *testing.T) {
 				t.Fatalf("width %d: density[%d] differs: %v vs %v", width, i, a.Data[i], b.Data[i])
 			}
 		}
-		pa := inline.Pressure()
-		pb := pooled.Pressure()
+		pa := inline.PressureInto(nil)
+		pb := pooled.PressureInto(nil)
 		for i := range pa.Data {
 			if pa.Data[i] != pb.Data[i] {
 				t.Fatalf("width %d: pressure[%d] differs", width, i)

@@ -27,12 +27,9 @@ func (s *Sim) reuseField(dst *grid.ScalarField) *grid.ScalarField {
 	return grid.NewScalarField(s.NX, s.NY, s.NZ)
 }
 
-// Pressure snapshots the pressure field (the paper's Fig. 6 shows "the
-// pressure animation of stellar wind bowshock").
-func (s *Sim) Pressure() *grid.ScalarField { return s.PressureInto(nil) }
-
-// PressureInto is Pressure writing into dst under the same reuse contract as
-// DensityInto.
+// PressureInto snapshots the pressure field (the paper's Fig. 6 shows "the
+// pressure animation of stellar wind bowshock") into dst under the same
+// reuse contract as DensityInto.
 func (s *Sim) PressureInto(dst *grid.ScalarField) *grid.ScalarField {
 	f := s.reuseField(dst)
 	g1 := s.Params().Gamma - 1
@@ -50,42 +47,4 @@ func (s *Sim) PressureInto(dst *grid.ScalarField) *grid.ScalarField {
 		f.Data[i] = float32(p)
 	}
 	return f
-}
-
-// Velocity snapshots the velocity field for streamline visualization.
-func (s *Sim) Velocity() *grid.VectorField {
-	vf := grid.NewVectorField(s.NX, s.NY, s.NZ)
-	for i := range s.rho {
-		r := s.rho[i]
-		if r < 1e-12 {
-			r = 1e-12
-		}
-		vf.U[i] = float32(s.mx[i] / r)
-		vf.V[i] = float32(s.my[i] / r)
-		vf.W[i] = float32(s.mz[i] / r)
-	}
-	return vf
-}
-
-// TotalMass integrates density over the domain (cell volume dx^3), a
-// conservation diagnostic for tests.
-func (s *Sim) TotalMass() float64 {
-	var sum float64
-	for i, v := range s.rho {
-		if !s.solid[i] {
-			sum += v
-		}
-	}
-	return sum * s.dx * s.dx * s.dx
-}
-
-// DensityProfile returns the density along the x axis at the pencil
-// (y, z) — the 1-D curve the Sod verification compares against the exact
-// Riemann solution.
-func (s *Sim) DensityProfile(y, z int) []float64 {
-	out := make([]float64, s.NX)
-	for x := 0; x < s.NX; x++ {
-		out[x] = s.rho[s.idx(x, y, z)]
-	}
-	return out
 }

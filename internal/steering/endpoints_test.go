@@ -50,7 +50,7 @@ func TestEndpointMatrix(t *testing.T) {
 			}
 			// The session delivers a frame over that mapping.
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-			_, png, err := s.WaitFrame(ctx, 0)
+			_, png, err := s.waitFrame(ctx, 0, nil)
 			cancel()
 			if err != nil || len(png) == 0 {
 				t.Fatalf("%s->%s: no frame: %v", src, dst, err)
@@ -66,17 +66,17 @@ func TestCreateRejectsUnknownEndpoints(t *testing.T) {
 	m := testManager(t, 2)
 	req := smallRequest()
 	req.SourceNode = "Narnia"
-	if _, err := m.Create(req); err == nil {
+	if _, err := m.CreateTuned(req, 0, 0, 0); err == nil {
 		t.Fatal("unknown source node accepted")
 	}
 	req = smallRequest()
 	req.ClientNode = "Narnia"
-	if _, err := m.Create(req); err == nil {
+	if _, err := m.CreateTuned(req, 0, 0, 0); err == nil {
 		t.Fatal("unknown client node accepted")
 	}
 	req = smallRequest()
 	req.ClientNodes = []string{netsim.UT, "Narnia"}
-	if _, err := m.Create(req); err == nil {
+	if _, err := m.CreateTuned(req, 0, 0, 0); err == nil {
 		t.Fatal("unknown fan-out host accepted")
 	}
 	if m.Len() != 0 {
@@ -136,7 +136,7 @@ func TestMultiViewerSession(t *testing.T) {
 	// Frames are delivered.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if _, png, err := s.WaitFrame(ctx, 0); err != nil || len(png) == 0 {
+	if _, png, err := s.waitFrame(ctx, 0, nil); err != nil || len(png) == 0 {
 		t.Fatalf("no frame: %v", err)
 	}
 }
@@ -238,7 +238,7 @@ func TestLazyRenderSkipsIdleFrames(t *testing.T) {
 
 	// A long-poller gets the current frame rendered on demand.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	seq, png, err := s.WaitFrame(ctx, 0)
+	seq, png, err := s.waitFrame(ctx, 0, nil)
 	cancel()
 	if err != nil || len(png) == 0 || seq == 0 {
 		t.Fatalf("lazy render failed: seq=%d err=%v", seq, err)
@@ -254,7 +254,7 @@ func TestLazyRenderSkipsIdleFrames(t *testing.T) {
 	rendersAtAttach := s.Renders()
 	for i := 0; i < 3; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		nseq, npng, err := s.WaitFrame(ctx, since)
+		nseq, npng, err := s.waitFrame(ctx, since, nil)
 		cancel()
 		if err != nil || len(npng) == 0 {
 			t.Fatal(err)
@@ -289,7 +289,7 @@ func TestLazyRenderSingleFlight(t *testing.T) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			if _, png, err := s.WaitFrame(ctx, 0); err != nil || len(png) == 0 {
+			if _, png, err := s.waitFrame(ctx, 0, nil); err != nil || len(png) == 0 {
 				t.Errorf("waiter: %v", err)
 			}
 		}()

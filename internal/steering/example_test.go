@@ -38,8 +38,8 @@ func ExampleSessionManager() {
 	}
 
 	// The manager enforces its capacity.
-	mgr.Create(req)
-	if _, err := mgr.Create(req); errors.Is(err, steering.ErrSessionLimit) {
+	mgr.CreateTuned(req, 0, 0, 0)
+	if _, err := mgr.CreateTuned(req, 0, 0, 0); errors.Is(err, steering.ErrSessionLimit) {
 		fmt.Println("third session refused: at capacity")
 	}
 

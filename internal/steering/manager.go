@@ -220,18 +220,6 @@ func managerTestbed(seed int64) *netsim.Network {
 // the emulated network for tests that perturb link conditions).
 func (m *SessionManager) CM() *cm.Manager { return m.cm }
 
-// Remeasure simulates a network-condition change: the CM adopts a fresh
-// testbed epoch and runs a gated full sweep. Estimates carry over by edge,
-// so a remeasure that finds the same conditions keeps the graph's Rev —
-// sessions' next consultations still hit the cache — while genuine drift
-// re-stamps the graph and forces exactly one DP re-run per distinct
-// instance.
-func (m *SessionManager) Remeasure(seed int64) {
-	// The adopted network is always the same six-site topology, so
-	// AdoptNetwork cannot fail here.
-	_ = m.cm.AdoptNetwork(managerTestbed(seed))
-}
-
 // Graph returns the CM's current measured graph (shared, read-only).
 func (m *SessionManager) Graph() *pipeline.Graph { return m.cm.Graph() }
 
@@ -255,15 +243,11 @@ func (m *SessionManager) LoadFraction() float64 {
 // FrameBudget reports the configured admission watermark (0 = disabled).
 func (m *SessionManager) FrameBudget() float64 { return m.cfg.FrameBudget }
 
-// Create starts a new live session for the request and returns it. The
-// session's lifecycle goroutine runs until Destroy or Shutdown.
-func (m *SessionManager) Create(req Request) (*ManagedSession, error) {
-	return m.CreateTuned(req, 0, 0, 0)
-}
-
-// CreateTuned is Create with explicit pacing and frame geometry applied
-// before the lifecycle goroutine starts (zero values keep the defaults:
-// 200ms frames at 512x512).
+// CreateTuned starts a new live session for the request and returns it,
+// with explicit pacing and frame geometry applied before the lifecycle
+// goroutine starts (zero values keep the defaults: 200ms frames at
+// 512x512). The session's lifecycle goroutine runs until Destroy or
+// Shutdown.
 func (m *SessionManager) CreateTuned(req Request, framePeriod time.Duration, width, height int) (*ManagedSession, error) {
 	s, err := newManagedSession(m, req)
 	if err != nil {

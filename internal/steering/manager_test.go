@@ -94,7 +94,7 @@ func TestConcurrentSessions(t *testing.T) {
 	// Every session produces frames independently.
 	for i, s := range sessions {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		seq, png, err := s.WaitFrame(ctx, 0)
+		seq, png, err := s.waitFrame(ctx, 0, nil)
 		cancel()
 		if err != nil {
 			t.Fatalf("session %d: %v", i, err)
@@ -140,14 +140,14 @@ func TestSessionLimit(t *testing.T) {
 	m := testManager(t, 2)
 	a := createFast(t, m)
 	createFast(t, m)
-	if _, err := m.Create(smallRequest()); !errors.Is(err, ErrSessionLimit) {
+	if _, err := m.CreateTuned(smallRequest(), 0, 0, 0); !errors.Is(err, ErrSessionLimit) {
 		t.Fatalf("want ErrSessionLimit, got %v", err)
 	}
 	// Destroying one frees a slot.
 	if err := m.Destroy(a.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Create(smallRequest()); err != nil {
+	if _, err := m.CreateTuned(smallRequest(), 0, 0, 0); err != nil {
 		t.Fatalf("create after destroy: %v", err)
 	}
 }
@@ -163,7 +163,7 @@ func TestCreateRejectsUnknownSimulator(t *testing.T) {
 	m := testManager(t, 2)
 	req := smallRequest()
 	req.Simulator = "warp-drive"
-	if _, err := m.Create(req); err == nil {
+	if _, err := m.CreateTuned(req, 0, 0, 0); err == nil {
 		t.Fatal("unknown simulator accepted")
 	}
 	if m.Len() != 0 {
@@ -215,29 +215,6 @@ func TestRemeasureInvalidates(t *testing.T) {
 	waitUntil(t, "cache miss on new graph", func() bool {
 		return m.CacheStats().Misses > missesBefore
 	})
-}
-
-// TestRemeasureNoopIsCacheHit is the tolerance gate's service-level
-// promise: re-measuring a network whose conditions did not change keeps the
-// graph revision, so sessions' next consultations are answered from the
-// cache — zero new misses.
-func TestRemeasureNoopIsCacheHit(t *testing.T) {
-	m := testManager(t, 1)
-	s := createFast(t, m)
-	waitUntil(t, "first consultation", func() bool { return s.Reoptimizations() >= 1 })
-	missesBefore := m.CacheStats().Misses
-	revBefore := m.Graph().Rev
-
-	m.Remeasure(42) // the same seed testManager measured at startup
-
-	if got := m.Graph().Rev; got != revBefore {
-		t.Fatalf("no-op remeasure re-stamped the graph: rev %d -> %d", revBefore, got)
-	}
-	reopts := s.Reoptimizations()
-	waitUntil(t, "post-remeasure consultation", func() bool { return s.Reoptimizations() > reopts })
-	if got := m.CacheStats().Misses; got != missesBefore {
-		t.Fatalf("no-op remeasure caused %d new cache misses", got-missesBefore)
-	}
 }
 
 // TestPredictedDelayChargedToPacing verifies the live frame loop charges
@@ -325,7 +302,7 @@ func TestAdaptationUnderChurn(t *testing.T) {
 	go func() {
 		var since uint64
 		for {
-			seq, png, err := s.WaitFrame(viewerCtx, since)
+			seq, png, err := s.waitFrame(viewerCtx, since, nil)
 			if err != nil {
 				viewerErr <- nil // context cancelled at test end
 				return
@@ -416,7 +393,7 @@ func TestShutdownStopsEverything(t *testing.T) {
 			t.Fatalf("session %d goroutine still running", i)
 		}
 	}
-	if _, err := m.Create(smallRequest()); !errors.Is(err, ErrShuttingDown) {
+	if _, err := m.CreateTuned(smallRequest(), 0, 0, 0); !errors.Is(err, ErrShuttingDown) {
 		t.Fatalf("want ErrShuttingDown, got %v", err)
 	}
 }
@@ -446,7 +423,7 @@ func TestWaitFrameUnblocksOnDestroy(t *testing.T) {
 	s := createFast(t, m)
 	errCh := make(chan error, 1)
 	go func() {
-		_, _, err := s.WaitFrame(context.Background(), 1<<40)
+		_, _, err := s.waitFrame(context.Background(), 1<<40, nil)
 		errCh <- err
 	}()
 	time.Sleep(20 * time.Millisecond)

@@ -129,15 +129,10 @@ type Session struct {
 	ControlLats []netsim.Time
 	SetupLat    netsim.Time
 
-	// scratch and fieldScratch are the session's reusable frame data plane:
-	// snapshots and renders reuse them, so repeated RenderFrame calls are
-	// allocation-flat. The session is single-threaded (it owns the virtual
-	// clock), so producer-style ownership is trivial. roi is the session's
-	// dirty-block mesh cache: repeated isosurface renders re-extract only
-	// blocks whose field content moved since the previous render.
-	scratch      viz.FrameScratch
+	// fieldScratch is the reusable snapshot buffer. The session is
+	// single-threaded (it owns the virtual clock), so producer-style
+	// ownership is trivial.
 	fieldScratch *grid.ScalarField
-	roi          viz.BlockMeshCache
 }
 
 // NewSession wires a session: the request travels client -> front end ->
@@ -282,25 +277,4 @@ func (s *Session) maybeReconfigure() error {
 	s.Reconfigs++
 	s.adapter.Reset()
 	return nil
-}
-
-// RenderFrame produces an actual image of the current simulation state via
-// the requested method — the pixels a browser client would receive. It runs
-// outside the virtual clock (wall time is not charged). The image is backed
-// by the session's reusable scratch: it is valid until the next RenderFrame
-// call on the same session, so copy or encode it before re-rendering.
-func (s *Session) RenderFrame(width, height int) (*viz.Image, error) {
-	return RenderDatasetROI(&s.scratch, &s.roi, nil, s.snapshot(), s.Req, width, height)
-}
-
-// MeanFrameDelay averages the end-to-end delays of completed frames.
-func (s *Session) MeanFrameDelay() netsim.Time {
-	if len(s.Frames) == 0 {
-		return 0
-	}
-	var sum netsim.Time
-	for _, f := range s.Frames {
-		sum += f.Elapsed
-	}
-	return sum / netsim.Time(len(s.Frames))
 }

@@ -220,15 +220,6 @@ func (s *ManagedSession) Request() Request {
 	return s.req
 }
 
-// Tree returns the session's current routing tree — one branch for a lone
-// ClientNode, one per host for ClientNodes — or nil before the first CM
-// consultation completes.
-func (s *ManagedSession) Tree() *pipeline.VRTree {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tree.Clone()
-}
-
 // Mapping returns the installed tree's cost inputs for external
 // re-pricing — the scenario engine's frame-delay-vs-prediction invariant
 // re-evaluates placements under both the CM's estimate graph and the
@@ -260,18 +251,4 @@ func (s *ManagedSession) Renders() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.renders
-}
-
-// Reoptimizations reports how many times the session consulted the CM.
-func (s *ManagedSession) Reoptimizations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reopts
-}
-
-// Adaptations reports how many consultations the Adapter forced early.
-func (s *ManagedSession) Adaptations() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.adapts
 }

@@ -123,7 +123,7 @@ func TestCreateRejectsUnboundedGeometry(t *testing.T) {
 			if tc.wantErr == "" {
 				return
 			}
-			if _, err := m.Create(req); err == nil {
+			if _, err := m.CreateTuned(req, 0, 0, 0); err == nil {
 				t.Fatal("Create accepted what checkGeometry rejects")
 			}
 			if m.Len() != 0 {

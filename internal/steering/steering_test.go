@@ -283,8 +283,10 @@ func TestSessionLifecycleAndSteering(t *testing.T) {
 	if s.Sim.Params().LeftPressure != 8 {
 		t.Fatal("steering parameter never reached the simulator")
 	}
-	if s.MeanFrameDelay() <= 0 {
-		t.Fatal("mean frame delay must be positive")
+	for i, f := range s.Frames {
+		if f.Elapsed <= 0 {
+			t.Fatalf("frame %d delay %v, want positive", i, f.Elapsed)
+		}
 	}
 }
 
@@ -314,7 +316,7 @@ func TestSessionSteeringChangesRenderedImage(t *testing.T) {
 		if err := s.RunFrames(16, nil); err != nil {
 			t.Fatal(err)
 		}
-		img, err := s.RenderFrame(96, 96)
+		img, err := RenderDataset(s.snapshot(), s.Req, 96, 96)
 		if err != nil {
 			t.Fatal(err)
 		}

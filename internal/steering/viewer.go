@@ -120,14 +120,6 @@ func (v *Viewer) sentLocked(tier cost.Tier, seq uint64, frame []byte) {
 	tel.TierBytesSent[tier].Add(uint64(len(frame)))
 }
 
-// WaitFrame blocks until a frame with sequence > since exists (or ctx
-// ends). Any number of viewers may wait concurrently. If the newest frame
-// was produced while no viewer was attached (lazy rendering skipped it),
-// WaitFrame renders it on demand from the stashed dataset snapshot.
-func (s *ManagedSession) WaitFrame(ctx context.Context, since uint64) (uint64, []byte, error) {
-	return s.waitFrame(ctx, since, nil)
-}
-
 // Wait blocks until a frame with sequence > since exists, the context
 // ends, the session is destroyed (ErrNoSession), or the viewer is
 // evicted (ErrViewerEvicted).
@@ -135,8 +127,10 @@ func (v *Viewer) Wait(ctx context.Context, since uint64) (uint64, []byte, error)
 	return v.s.waitFrame(ctx, since, v)
 }
 
-// waitFrame is the shared long-poll core. With a tracked viewer it also
-// enforces the eviction contract — a parked waiter is woken by the
+// waitFrame is the shared long-poll core: it blocks until a frame with
+// sequence > since exists (or ctx ends), rendering on demand a frame that
+// lazy rendering skipped. With a tracked viewer it also enforces the
+// eviction contract — a parked waiter is woken by the
 // publish broadcast of the frame whose eviction scan removed it and
 // returns ErrViewerEvicted — and records frame delivery for the viewer's
 // lag accounting.
@@ -282,13 +276,6 @@ func (v *Viewer) Poll() (uint64, []byte, error) {
 		v.delivered = s.seq
 	}
 	return 0, nil, nil
-}
-
-// Delivered reports the newest frame sequence the viewer has consumed.
-func (v *Viewer) Delivered() uint64 {
-	v.s.mu.Lock()
-	defer v.s.mu.Unlock()
-	return v.delivered
 }
 
 // Evicted reports whether the slow-consumer policy removed this viewer.

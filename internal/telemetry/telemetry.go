@@ -279,15 +279,6 @@ const NumTierSeries = 4
 // carries, matching cost.Tier.String().
 var tierSeriesNames = [NumTierSeries]string{"full", "half", "quarter", "delta"}
 
-// TierSeriesName returns the series suffix for a tier index, for callers
-// (and tests) that need to locate a tier's exposition lines.
-func TierSeriesName(t int) string {
-	if t < 0 || t >= NumTierSeries {
-		return "unknown"
-	}
-	return tierSeriesNames[t]
-}
-
 // CounterSnapshot is a plain-value copy of every counter, for tests and
 // the scenario engine's ground-truth reconciliation.
 type CounterSnapshot struct {

@@ -59,17 +59,8 @@ func (e *Encoder) Encode(frame []byte, k, nRepair int) error {
 	return nil
 }
 
-// NumSource returns k for the current generation.
-func (e *Encoder) NumSource() int { return e.k }
-
-// NumRepair returns the repair-block count for the current generation.
-func (e *Encoder) NumRepair() int { return e.nRepair }
-
 // BlockSize returns the current generation's block payload size.
 func (e *Encoder) BlockSize() int { return e.blockSize }
-
-// FrameLen returns the unpadded frame length of the current generation.
-func (e *Encoder) FrameLen() int { return e.frameLen }
 
 // SourceBlock returns source block i's payload (aliases encoder storage,
 // valid until the next Encode).

@@ -30,8 +30,7 @@ type Receiver struct {
 	dupPkts       uint64
 	windowPkts    uint64 // unique packets in current ACK window
 
-	trace []Sample
-	last  netsim.Time
+	last netsim.Time
 }
 
 // NewReceiver creates a receiver that sends feedback on ack. Call Bind on
@@ -75,16 +74,6 @@ func (r *Receiver) Start() {
 // Stop halts feedback generation.
 func (r *Receiver) Stop() { r.running = false }
 
-// Delivered reports unique packets received.
-func (r *Receiver) Delivered() uint64 { return r.deliveredPkts }
-
-// Duplicates reports duplicate datagrams discarded (goodput excludes them,
-// per the paper's definition of the goodput rate g_R(t)).
-func (r *Receiver) Duplicates() uint64 { return r.dupPkts }
-
-// Trace returns the receiver-side goodput samples, one per ACK interval.
-func (r *Receiver) Trace() []Sample { return r.trace }
-
 func (r *Receiver) onData(seq uint64) {
 	if seq < r.cumAck || r.pending[seq] {
 		r.dupPkts++
@@ -123,7 +112,6 @@ func (r *Receiver) emitAck() {
 	}
 	r.windowPkts = 0
 	r.last = now
-	r.trace = append(r.trace, Sample{At: now, Goodput: g})
 
 	nacks := r.missing(r.cfg.MaxNacksPerAck)
 	r.ack.Send(netsim.Packet{

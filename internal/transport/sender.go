@@ -83,9 +83,6 @@ func (s *Sender) Stop() { s.running = false }
 // Trace returns the recorded goodput samples, one per update step.
 func (s *Sender) Trace() []Sample { return s.trace }
 
-// Sleep returns the current sleep (idle) time Ts.
-func (s *Sender) Sleep() time.Duration { return s.sleep }
-
 func (s *Sender) burst() {
 	if !s.running {
 		return

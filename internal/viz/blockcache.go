@@ -48,9 +48,6 @@ type BlockMeshCache struct {
 	nx, ny, nz int
 }
 
-// Invalidate forces the next Plan to re-extract every block.
-func (c *BlockMeshCache) Invalidate() { c.warm = false }
-
 // Len reports the number of blocks in the cached decomposition.
 func (c *BlockMeshCache) Len() int { return len(c.blocks) }
 

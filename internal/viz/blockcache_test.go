@@ -158,10 +158,6 @@ func TestBlockMeshCacheInvalidation(t *testing.T) {
 	if d := c.Plan(g, 2, 0.25); len(d) != countActive(0.25) {
 		t.Fatalf("geometry change planned %d, want full %d", len(d), countActive(0.25))
 	}
-	c.Invalidate()
-	if d := c.Plan(g, 2, 0.25); len(d) != countActive(0.25) {
-		t.Fatalf("Invalidate planned %d, want full %d", len(d), countActive(0.25))
-	}
 }
 
 // TestBlockMeshCacheThreshold: with a positive threshold, same-side min/max

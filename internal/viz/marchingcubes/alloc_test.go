@@ -34,7 +34,7 @@ func TestExtractIntoAllocationFlat(t *testing.T) {
 func TestExtractIntoMatchesExtract(t *testing.T) {
 	f := sphereField(16)
 	iso := float32(5.5)
-	fresh := Extract(f, iso)
+	fresh := extract(f, iso)
 	var m viz.Mesh
 	ExtractInto(&m, f, iso)
 	ExtractInto(&m, f, iso) // reuse pass

@@ -124,16 +124,6 @@ func buildCases() {
 	}
 }
 
-// NumClasses reports the number of distinct canonical classes discovered
-// (must equal NumCases; exposed for the verification test).
-func NumClasses() int {
-	seen := map[int]bool{}
-	for _, c := range caseOf {
-		seen[c] = true
-	}
-	return len(seen)
-}
-
 // CellConfig returns the 8-bit corner configuration of the cell with origin
 // (x, y, z): bit i is set when corner i's sample exceeds the isovalue.
 func CellConfig(f *grid.ScalarField, x, y, z int, iso float32) uint8 {
@@ -164,13 +154,6 @@ var kuhnTets = [6][4]int{
 	{0, 6, 4, 7},
 	{0, 4, 5, 7},
 	{0, 5, 1, 7},
-}
-
-// Extract returns the isosurface of the whole field at the isovalue.
-func Extract(f *grid.ScalarField, iso float32) *viz.Mesh {
-	m := &viz.Mesh{}
-	ExtractInto(m, f, iso)
-	return m
 }
 
 // ExtractInto extracts the whole field's isosurface into m, truncating it

@@ -9,6 +9,22 @@ import (
 	"ricsa/internal/viz"
 )
 
+// extract returns the whole field's isosurface in a fresh mesh.
+func extract(f *grid.ScalarField, iso float32) *viz.Mesh {
+	m := &viz.Mesh{}
+	ExtractInto(m, f, iso)
+	return m
+}
+
+// numClasses reports the number of distinct canonical classes discovered.
+func numClasses() int {
+	seen := map[int]bool{}
+	for _, c := range caseOf {
+		seen[c] = true
+	}
+	return len(seen)
+}
+
 func sphereField(n int) *grid.ScalarField {
 	f := grid.NewScalarField(n, n, n)
 	c := float64(n-1) / 2
@@ -20,7 +36,7 @@ func sphereField(n int) *grid.ScalarField {
 }
 
 func TestExactlyFifteenCanonicalCases(t *testing.T) {
-	if got := NumClasses(); got != NumCases {
+	if got := numClasses(); got != NumCases {
 		t.Fatalf("found %d canonical marching-cubes classes, want %d", got, NumCases)
 	}
 }
@@ -72,7 +88,7 @@ func TestEmptyCaseOnlyForUniformCells(t *testing.T) {
 
 func TestExtractEmptyWhenIsoOutsideRange(t *testing.T) {
 	f := sphereField(8)
-	m := Extract(f, 1000)
+	m := extract(f, 1000)
 	if m.TriangleCount() != 0 {
 		t.Fatalf("extracted %d triangles for out-of-range isovalue", m.TriangleCount())
 	}
@@ -83,13 +99,14 @@ func TestExtractSphereAreaApproximation(t *testing.T) {
 	// triangle area should approximate 4 pi r^2.
 	f := sphereField(33)
 	r := 10.0
-	m := Extract(f, float32(r))
+	m := extract(f, float32(r))
 	if m.TriangleCount() == 0 {
 		t.Fatal("no triangles extracted")
 	}
 	var area float64
 	for i := 0; i < m.TriangleCount(); i++ {
-		area += float64(m.TriangleNormal(i).Norm()) / 2
+		a, b, c := m.Vertices[3*i], m.Vertices[3*i+1], m.Vertices[3*i+2]
+		area += float64(b.Sub(a).Cross(c.Sub(a)).Norm()) / 2
 	}
 	want := 4 * math.Pi * r * r
 	if math.Abs(area-want)/want > 0.05 {
@@ -102,7 +119,7 @@ func TestExtractVerticesNearIsovalue(t *testing.T) {
 	// re-sampling the field at the vertex should be close to the isovalue.
 	f := sphereField(17)
 	iso := float32(5.0)
-	m := Extract(f, iso)
+	m := extract(f, iso)
 	for _, v := range m.Vertices {
 		got := f.Sample(float64(v[0]), float64(v[1]), float64(v[2]))
 		if math.Abs(got-float64(iso)) > 0.2 {
@@ -114,7 +131,7 @@ func TestExtractVerticesNearIsovalue(t *testing.T) {
 func TestExtractWatertightEdges(t *testing.T) {
 	// A closed surface has every edge shared by exactly two triangles.
 	f := sphereField(17)
-	m := Extract(f, 5.0)
+	m := extract(f, 5.0)
 	type edge [2][3]int32
 	quant := func(v viz.Vec3) [3]int32 {
 		return [3]int32{int32(math.Round(float64(v[0]) * 4096)),
@@ -154,7 +171,7 @@ func TestExtractWatertightEdges(t *testing.T) {
 func TestBlockExtractionMatchesWholeField(t *testing.T) {
 	f := sphereField(17)
 	iso := float32(5.0)
-	whole := Extract(f, iso)
+	whole := extract(f, iso)
 	blocks := grid.Decompose(f, 4)
 	parts := ExtractBlocks(f, blocks, iso, 4)
 	if whole.TriangleCount() != parts.TriangleCount() {
@@ -220,14 +237,14 @@ func TestExtractPropertyTriangleCountStableUnderValueScaling(t *testing.T) {
 	// Scaling all samples and the isovalue by the same positive factor must
 	// not change the topology (triangle count).
 	f := sphereField(9)
-	base := Extract(f, 3.0).TriangleCount()
+	base := extract(f, 3.0).TriangleCount()
 	prop := func(scale8 uint8) bool {
 		s := 0.5 + float64(scale8)/64.0
 		g := grid.NewScalarField(f.NX, f.NY, f.NZ)
 		for i, v := range f.Data {
 			g.Data[i] = v * float32(s)
 		}
-		return Extract(g, float32(3.0*s)).TriangleCount() == base
+		return extract(g, float32(3.0*s)).TriangleCount() == base
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)

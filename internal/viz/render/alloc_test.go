@@ -50,7 +50,7 @@ func TestRenderWithMatchesRender(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Width, opt.Height = 96, 96
 	opt.Workers = 1
-	plain := Render(m, opt)
+	plain := RenderWith(nil, m, opt)
 	var sc viz.FrameScratch
 	RenderWith(&sc, m, opt) // once to dirty the scratch
 	reused := RenderWith(&sc, m, opt)

@@ -6,17 +6,13 @@ import (
 	"ricsa/internal/viz"
 )
 
-// RenderLines rasterizes 3-D polylines (streamlines) into an RGBA
+// RenderLinesWith rasterizes 3-D polylines (streamlines) into an RGBA
 // framebuffer under the same orthographic camera model as triangle
 // rendering, with z-buffered depth and a simple depth-cue shade (nearer
-// segments brighter). Lines are passed as point sequences.
-func RenderLines(lines [][]viz.Vec3, opt Options) *viz.Image {
-	return RenderLinesWith(nil, lines, opt)
-}
-
-// RenderLinesWith is RenderLines reusing the scratch framebuffer and
-// z-buffer (nil sc allocates fresh buffers). The returned image is sc.Img —
-// valid until the next render into the same scratch.
+// segments brighter). Lines are passed as point sequences. It reuses the
+// scratch framebuffer and z-buffer (nil sc allocates fresh buffers); the
+// returned image is sc.Img — valid until the next render into the same
+// scratch.
 func RenderLinesWith(sc *viz.FrameScratch, lines [][]viz.Vec3, opt Options) *viz.Image {
 	if sc == nil {
 		sc = &viz.FrameScratch{}

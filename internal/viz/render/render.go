@@ -48,16 +48,12 @@ func DefaultOptions() Options {
 	}
 }
 
-// Render rasterizes the mesh with a z-buffer into fresh buffers.
-func Render(m *viz.Mesh, opt Options) *viz.Image {
-	return RenderWith(nil, m, opt)
-}
-
-// RenderWith is Render with caller-owned scratch: the framebuffer, z-buffer,
-// and projection buffer are reused from sc (grown on first use), so a frame
-// loop rendering through the same scratch every frame performs no
-// steady-state allocation. The returned image is sc.Img — valid until the
-// next render into the same scratch. A nil sc renders into fresh buffers.
+// RenderWith rasterizes the mesh with a z-buffer into caller-owned scratch:
+// the framebuffer, z-buffer, and projection buffer are reused from sc (grown
+// on first use), so a frame loop rendering through the same scratch every
+// frame performs no steady-state allocation. The returned image is sc.Img —
+// valid until the next render into the same scratch. A nil sc renders into
+// fresh buffers.
 //
 //ricsa:noalloc
 func RenderWith(sc *viz.FrameScratch, m *viz.Mesh, opt Options) *viz.Image {

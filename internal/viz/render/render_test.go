@@ -19,11 +19,13 @@ func sphereMesh(n int, r float64) *viz.Mesh {
 		dx, dy, dz := float64(x)-c, float64(y)-c, float64(z)-c
 		return float32(math.Sqrt(dx*dx + dy*dy + dz*dz))
 	})
-	return marchingcubes.Extract(f, float32(r))
+	m := &viz.Mesh{}
+	marchingcubes.ExtractInto(m, f, float32(r))
+	return m
 }
 
 func TestRenderEmptyMesh(t *testing.T) {
-	img := Render(&viz.Mesh{}, DefaultOptions())
+	img := RenderWith(nil, &viz.Mesh{}, DefaultOptions())
 	if img.NonBlackPixels() != 0 {
 		t.Fatal("empty mesh should render black")
 	}
@@ -33,7 +35,7 @@ func TestRenderSphereCoversDisk(t *testing.T) {
 	m := sphereMesh(33, 10)
 	opt := DefaultOptions()
 	opt.Width, opt.Height = 128, 128
-	img := Render(m, opt)
+	img := RenderWith(nil, m, opt)
 	got := img.NonBlackPixels()
 	if got == 0 {
 		t.Fatal("sphere rendered nothing")
@@ -61,8 +63,8 @@ func TestRenderZoomChangesCoverage(t *testing.T) {
 	small.Camera.Zoom = 0.5
 	big := small
 	big.Camera.Zoom = 1.0
-	a := Render(m, small).NonBlackPixels()
-	b := Render(m, big).NonBlackPixels()
+	a := RenderWith(nil, m, small).NonBlackPixels()
+	b := RenderWith(nil, m, big).NonBlackPixels()
 	if a >= b {
 		t.Fatalf("zoom 0.5 coverage %d should be below zoom 1 coverage %d", a, b)
 	}
@@ -74,10 +76,10 @@ func TestRenderRotationInvariantForSphere(t *testing.T) {
 	m := sphereMesh(25, 8)
 	opt := DefaultOptions()
 	opt.Width, opt.Height = 96, 96
-	base := Render(m, opt).NonBlackPixels()
+	base := RenderWith(nil, m, opt).NonBlackPixels()
 	for _, yaw := range []float64{0.5, 1.2, 2.9} {
 		opt.Camera.Yaw = yaw
-		got := Render(m, opt).NonBlackPixels()
+		got := RenderWith(nil, m, opt).NonBlackPixels()
 		if math.Abs(float64(got-base))/float64(base) > 0.05 {
 			t.Fatalf("coverage at yaw %.1f = %d, base %d", yaw, got, base)
 		}
@@ -97,7 +99,7 @@ func TestRenderParallelMatchesSerial(t *testing.T) {
 	opt.Width, opt.Height = 100, 101
 	opt.Camera = viz.Camera{Zoom: 1.3, Yaw: 0.4, Pitch: 0.3}
 	opt.Workers = 1
-	serial := Render(m, opt)
+	serial := RenderWith(nil, m, opt)
 	if serial.NonBlackPixels() == 0 {
 		t.Fatal("serial render is empty")
 	}
@@ -108,7 +110,7 @@ func TestRenderParallelMatchesSerial(t *testing.T) {
 		}
 	}
 	opt.Workers = 0
-	same("default pool", Render(m, opt))
+	same("default pool", RenderWith(nil, m, opt))
 	for _, width := range []int{1, 2, 3, 8} {
 		pool := fcp.NewPool(width)
 		opt.Queue = pool.NewQueue()
@@ -129,9 +131,9 @@ func TestRenderDepthOrdering(t *testing.T) {
 	opt := DefaultOptions()
 	opt.Width, opt.Height = 64, 64
 	opt.BaseR, opt.BaseG, opt.BaseB = 255, 0, 0
-	img := Render(m, opt)
+	img := RenderWith(nil, m, opt)
 	// Render the near triangle alone for reference color.
-	ref := Render(&viz.Mesh{Vertices: m.Vertices[3:]}, opt)
+	ref := RenderWith(nil, &viz.Mesh{Vertices: m.Vertices[3:]}, opt)
 	r1, _, _, _ := img.At(32, 40)
 	r2, _, _, _ := ref.At(32, 40)
 	if r1 != r2 {

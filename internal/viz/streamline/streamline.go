@@ -22,9 +22,6 @@ type Line struct {
 	Points []viz.Vec3
 }
 
-// SizeBytes is the wire size of the polyline geometry.
-func (l Line) SizeBytes() int { return 12 * len(l.Points) }
-
 // Options configures tracing.
 type Options struct {
 	// Steps is the advection step budget per seed (the paper's n_steps).

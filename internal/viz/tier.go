@@ -73,14 +73,6 @@ type TierEncoder struct {
 	lastDirty                      bool
 }
 
-// InvalidateKey drops the retained keyframe, forcing the next EncodeDelta
-// to emit a keyframe — used when a new delta-tier viewer subscribes and
-// has no base to patch.
-func (e *TierEncoder) InvalidateKey() { e.hasKey = false }
-
-// KeySeq returns the sequence number of the retained keyframe.
-func (e *TierEncoder) KeySeq() uint32 { return e.keySeq }
-
 // Downscale box-filters src by the integer factor (2 or 4 on the ladder)
 // into the encoder's reusable target and returns it. Output dimensions are
 // the ceiling division, with edge blocks averaging only their in-bounds

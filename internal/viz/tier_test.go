@@ -157,8 +157,8 @@ func TestDeltaRoundTrip(t *testing.T) {
 	// A resolution change always forces a keyframe.
 	step(testPattern(32, 32, 5), false, DeltaKey, "resize")
 
-	// InvalidateKey forces a keyframe for late subscribers.
-	e.InvalidateKey()
+	// Dropping the retained key forces a keyframe for late subscribers.
+	e.hasKey = false
 	step(testPattern(32, 32, 5), false, DeltaKey, "invalidated key")
 }
 
@@ -276,7 +276,7 @@ func TestParseDeltaFrameRejectsHostileInput(t *testing.T) {
 		t.Fatal("region without keyframe accepted")
 	}
 	// Region patch against a superseded keyframe lineage.
-	e.InvalidateKey()
+	e.hasKey = false
 	if _, err := e.EncodeDelta(img, false, &buf); err != nil {
 		t.Fatal(err)
 	}

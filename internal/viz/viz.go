@@ -51,8 +51,7 @@ func (a Vec3) Normalize() Vec3 {
 
 // Mesh is a triangle soup: every consecutive triple of Vertices is one
 // triangle. The layout favors streaming between pipeline stages over
-// indexed compactness; Compact converts to a deduplicated estimate when
-// geometry size matters.
+// indexed compactness.
 type Mesh struct {
 	Vertices []Vec3
 }
@@ -60,19 +59,8 @@ type Mesh struct {
 // TriangleCount returns the number of triangles.
 func (m *Mesh) TriangleCount() int { return len(m.Vertices) / 3 }
 
-// SizeBytes is the wire size of the geometry (3 vertices x 12 bytes per
-// triangle), the m_j the pipeline model charges when geometry crosses a
-// network link.
-func (m *Mesh) SizeBytes() int { return 12 * len(m.Vertices) }
-
 // Append concatenates other onto m.
 func (m *Mesh) Append(other *Mesh) { m.Vertices = append(m.Vertices, other.Vertices...) }
-
-// TriangleNormal returns the (unnormalized) face normal of triangle i.
-func (m *Mesh) TriangleNormal(i int) Vec3 {
-	a, b, c := m.Vertices[3*i], m.Vertices[3*i+1], m.Vertices[3*i+2]
-	return b.Sub(a).Cross(c.Sub(a))
-}
 
 // Bounds returns the axis-aligned bounding box of the mesh; ok is false for
 // an empty mesh.
@@ -152,14 +140,12 @@ func (im *Image) Set(x, y int, r, g, b, a uint8) {
 }
 
 // At reads pixel (x, y).
+//
+//ricsa:allow unreachable test support: pixel reads in render's TestRenderSphereCoversDisk/TestRenderDepthOrdering and raycast's TestRenderProducesCenterBrightness
 func (im *Image) At(x, y int) (r, g, b, a uint8) {
 	i := 4 * (y*im.W + x)
 	return im.Pix[i], im.Pix[i+1], im.Pix[i+2], im.Pix[i+3]
 }
-
-// SizeBytes is the raw framebuffer size, the m_j charged when an image
-// crosses a link (the paper ships fixed-size image files to the browser).
-func (im *Image) SizeBytes() int { return len(im.Pix) }
 
 // EncodePNG encodes the framebuffer into buf, wrapping Pix in an image.RGBA
 // directly — no intermediate framebuffer copy — and drawing the encoder's
@@ -201,8 +187,10 @@ func (im *Image) NonBlackPixels() int {
 	return n
 }
 
-// Gray returns the mean luminance in [0,1], used by steering tests to check
-// that parameter changes visibly alter subsequent frames.
+// Gray returns the mean luminance in [0,1], used by tests to check that
+// parameter changes visibly alter subsequent frames.
+//
+//ricsa:allow unreachable test support: raycast's TestRenderViewIndependentForSphericalField and TestEarlyTerminationDarkensNothingOpaque
 func (im *Image) Gray() float64 {
 	var sum float64
 	for p := im.Pix; len(p) >= 4; p = p[4:] {

@@ -92,11 +92,7 @@ func TestMeshBasics(t *testing.T) {
 	if m.TriangleCount() != 1 {
 		t.Fatal("TriangleCount")
 	}
-	if m.SizeBytes() != 36 {
-		t.Fatalf("SizeBytes = %d, want 36", m.SizeBytes())
-	}
-	n := m.TriangleNormal(0)
-	if n != (Vec3{0, 0, 1}) {
+	if n := m.Vertices[1].Sub(m.Vertices[0]).Cross(m.Vertices[2].Sub(m.Vertices[0])); n != (Vec3{0, 0, 1}) {
 		t.Fatalf("normal = %v, want +z", n)
 	}
 	m2 := &Mesh{}

@@ -50,7 +50,7 @@ func TestHubCreateWithEndpoints(t *testing.T) {
 		t.Fatal("session not registered")
 	}
 	deadline := time.Now().Add(15 * time.Second)
-	for s.Reoptimizations() < 1 && time.Now().Before(deadline) {
+	for s.Status()["reoptimizations"].(int) < 1 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
@@ -98,7 +98,7 @@ func TestHubCreateMultiViewer(t *testing.T) {
 	id := out["id"].(string)
 	s, _ := mgr.Get(id)
 	deadline := time.Now().Add(15 * time.Second)
-	for s.Tree() == nil && time.Now().Before(deadline) {
+	for s.Status()["vrt_path"] == nil && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 

@@ -29,7 +29,8 @@ const virtualPeriod = 100 * time.Millisecond
 // top of every frame. With no prober the graph — and so the mapping — is
 // static, so the cadence is too.
 func framePeriod(s *steering.ManagedSession) time.Duration {
-	return virtualPeriod + time.Duration(s.Tree().Delay*float64(time.Second))
+	_, _, _, predicted, _ := s.Mapping()
+	return virtualPeriod + time.Duration(predicted*float64(time.Second))
 }
 
 // virtualHub serves a Hub over a virtual-clock manager (no prober, so every
