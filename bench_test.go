@@ -4,9 +4,10 @@ package ricsa
 // micro-benchmarks for the design choices called out in DESIGN.md. The
 // experiment benchmarks run at reduced dataset scale so `go test -bench=.`
 // completes quickly; cmd/ricsa-bench regenerates the full-scale tables.
+// The perf rows CI gates (BENCH_pipeline.json) are defined once, in
+// cmd/ricsa-bench's row table, and run there under `go test -bench Rows`.
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"time"
@@ -14,13 +15,11 @@ import (
 	"ricsa/internal/cost"
 	"ricsa/internal/dataset"
 	"ricsa/internal/experiments"
-	"ricsa/internal/fcp"
 	"ricsa/internal/grid"
 	"ricsa/internal/netsim"
 	"ricsa/internal/pipeline"
 	"ricsa/internal/simengine"
 	"ricsa/internal/steering"
-	"ricsa/internal/telemetry"
 	"ricsa/internal/transport"
 	"ricsa/internal/viz"
 	"ricsa/internal/viz/marchingcubes"
@@ -90,42 +89,6 @@ func BenchmarkDPOptimize(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pipeline.Optimize(g, p, 0, 49); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOptimizeUncached64 runs the full DP on a 64-node graph every
-// iteration: the cost a multi-session service would pay per re-optimization
-// without the CM's memoization layer.
-func BenchmarkOptimizeUncached64(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	g := pipeline.RandomGraph(rng, 64, 2)
-	p := pipeline.RandomPipeline(rng, 8, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.Optimize(g, p, 0, 63); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOptimizeCached64 is the same instance answered by the optimizer
-// cache: each iteration pays fingerprinting plus a map lookup and a VRT
-// clone instead of the DP. The graph carries a measurement-epoch stamp, as
-// every Deployment.Measure-produced graph does, so the fingerprint is O(1).
-func BenchmarkOptimizeCached64(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	g := pipeline.RandomGraph(rng, 64, 2)
-	g.Rev = pipeline.NextGraphRev()
-	p := pipeline.RandomPipeline(rng, 8, false)
-	c := pipeline.NewCache(0)
-	if _, err := c.Optimize(g, p, 0, 63); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Optimize(g, p, 0, 63); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -283,301 +246,6 @@ func BenchmarkSodStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step()
-	}
-}
-
-// --- Frame-stage benchmarks ---
-//
-// The live service's per-frame data plane at N sessions x K viewers:
-// sim step, isosurface extraction, rasterization, PNG encode, and the
-// composed frame. All report allocs/op — the steady state must stay
-// allocation-flat (guarded by the AllocsPerRun regression tests), and
-// `ricsa-bench -bench-json` mirrors these ops into BENCH_pipeline.json so
-// CI diffs them across PRs.
-
-// frameBenchSim is the frame-stage workload: the default live-session Sod
-// grid, run with serial sweeps so allocs/op reflects the data plane rather
-// than goroutine spawns.
-func frameBenchSim() *simengine.Sim {
-	s := simengine.NewSod(64, 32, 32, simengine.DefaultSodParams())
-	s.SetWorkers(1)
-	return s
-}
-
-// BenchmarkFrameSimStep is one solver cycle with reused sweep scratch.
-func BenchmarkFrameSimStep(b *testing.B) {
-	s := frameBenchSim()
-	s.Step()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-}
-
-// BenchmarkMCubesExtract extracts the monitored isosurface into a reused
-// mesh arena.
-func BenchmarkMCubesExtract(b *testing.B) {
-	s := frameBenchSim()
-	for i := 0; i < 8; i++ {
-		s.Step()
-	}
-	f := s.Density()
-	var m viz.Mesh
-	marchingcubes.ExtractInto(&m, f, 0.5)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		marchingcubes.ExtractInto(&m, f, 0.5)
-	}
-}
-
-// BenchmarkRenderRaster rasterizes the extracted surface into reused
-// framebuffer/z-buffer/projection scratch at the live session's 512x512.
-func BenchmarkRenderRaster(b *testing.B) {
-	s := frameBenchSim()
-	for i := 0; i < 8; i++ {
-		s.Step()
-	}
-	f := s.Density()
-	var sc viz.FrameScratch
-	marchingcubes.ExtractInto(&sc.Mesh, f, 0.5)
-	opt := render.DefaultOptions()
-	opt.Width, opt.Height = 512, 512
-	opt.Workers = 1
-	render.RenderWith(&sc, &sc.Mesh, opt)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		render.RenderWith(&sc, &sc.Mesh, opt)
-	}
-}
-
-// BenchmarkPNGEncode encodes the framebuffer into a reused buffer with the
-// pooled encoder — no framebuffer copy, no fresh output slice.
-func BenchmarkPNGEncode(b *testing.B) {
-	s := frameBenchSim()
-	for i := 0; i < 8; i++ {
-		s.Step()
-	}
-	img, err := steering.RenderDataset(s.Density(), steering.DefaultRequest(), 512, 512)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var sc viz.FrameScratch
-	if err := img.EncodePNG(&sc.Enc); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sc.Enc.Reset()
-		if err := img.EncodePNG(&sc.Enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTierEncodeDownscale box-filters the 512x512 framebuffer to the
-// quarter rung and PNG-encodes it into the encoder's reused buffer — the
-// per-frame cost of serving one reduced-tier viewer demand.
-func BenchmarkTierEncodeDownscale(b *testing.B) {
-	s := frameBenchSim()
-	for i := 0; i < 8; i++ {
-		s.Step()
-	}
-	img, err := steering.RenderDataset(s.Density(), steering.DefaultRequest(), 512, 512)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var enc viz.TierEncoder
-	var buf bytes.Buffer
-	if err := enc.EncodeDownscaled(img, 4, &buf); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := enc.EncodeDownscaled(img, 4, &buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTierEncodeDelta alternates two adjacent frames through the
-// keyframe-relative delta encoder: the first repeats the keyframe content
-// (empty delta), the second carries a dirty region patch — the two warm
-// paths a delta viewer's session pays every frame.
-func BenchmarkTierEncodeDelta(b *testing.B) {
-	s := frameBenchSim()
-	for i := 0; i < 8; i++ {
-		s.Step()
-	}
-	img1, err := steering.RenderDataset(s.Density(), steering.DefaultRequest(), 512, 512)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Step()
-	img2, err := steering.RenderDataset(s.Density(), steering.DefaultRequest(), 512, 512)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var enc viz.TierEncoder
-	var buf bytes.Buffer
-	if kind, err := enc.EncodeDelta(img1, false, &buf); err != nil || kind != viz.DeltaKey {
-		b.Fatalf("warm-up keyframe: kind=%v err=%v", kind, err)
-	}
-	if _, err := enc.EncodeDelta(img2, false, &buf); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame := img1
-		if i&1 == 1 {
-			frame = img2
-		}
-		if _, err := enc.EncodeDelta(frame, false, &buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFrameProduceTotal is the composed steady-state frame: solver
-// step, snapshot into a reused field, extract+render through shared scratch,
-// and PNG-encode into the reused buffer — the warm path a live session's
-// producer goroutine runs every FramePeriod.
-func BenchmarkFrameProduceTotal(b *testing.B) {
-	s := frameBenchSim()
-	req := steering.DefaultRequest()
-	var sc viz.FrameScratch
-	var field *grid.ScalarField
-	frame := func() {
-		s.Step()
-		field = s.DensityInto(field)
-		img, err := steering.RenderDatasetInto(&sc, field, req, 512, 512)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sc.Enc.Reset()
-		if err := img.EncodePNG(&sc.Enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-	frame()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame()
-	}
-}
-
-// frameBenchSimPar is the pooled counterpart of frameBenchSim: sweeps fan
-// out over the given pool's queue, the mode a live ManagedSession runs in.
-func frameBenchSimPar(pool *fcp.Pool) (*simengine.Sim, *fcp.Queue) {
-	s := simengine.NewSod(64, 32, 32, simengine.DefaultSodParams())
-	q := pool.NewQueue()
-	s.SetWorkers(0)
-	s.SetQueue(q)
-	return s, q
-}
-
-// BenchmarkFrameSimStepPar is one solver cycle with pencil sweeps through
-// the shared frame-compute pool (results bit-identical to the inline path).
-func BenchmarkFrameSimStepPar(b *testing.B) {
-	s, _ := frameBenchSimPar(fcp.Default())
-	s.Step()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Step()
-	}
-}
-
-// BenchmarkMCubesExtractPar is the block-parallel extraction of the same
-// surface through the pool, into reused per-block mesh arenas.
-func BenchmarkMCubesExtractPar(b *testing.B) {
-	s := frameBenchSim()
-	for i := 0; i < 8; i++ {
-		s.Step()
-	}
-	f := s.Density()
-	blocks := grid.Decompose(f, 8)
-	var m viz.Mesh
-	marchingcubes.ExtractBlocksInto(&m, f, blocks, 0.5, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		marchingcubes.ExtractBlocksInto(&m, f, blocks, 0.5, 0)
-	}
-}
-
-// BenchmarkMCubesExtractROI is the dirty-block cached extraction in its
-// steady state: the field is unchanged between iterations, so every block's
-// stamp matches and zero blocks re-extract — the cache's best case, and the
-// common one for a slowly evolving region of interest.
-func BenchmarkMCubesExtractROI(b *testing.B) {
-	s := frameBenchSim()
-	for i := 0; i < 8; i++ {
-		s.Step()
-	}
-	f := s.Density()
-	var cache viz.BlockMeshCache
-	var m viz.Mesh
-	marchingcubes.ExtractROIInto(&m, &cache, f, 8, 0.5, nil)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		marchingcubes.ExtractROIInto(&m, &cache, f, 8, 0.5, nil)
-	}
-}
-
-// BenchmarkFrameProduceTotalPar is the composed frame on the pooled path a
-// live ManagedSession runs: pooled sim step, snapshot, dirty-block ROI
-// extraction + render, and PNG encode.
-func BenchmarkFrameProduceTotalPar(b *testing.B) {
-	s, q := frameBenchSimPar(fcp.Default())
-	req := steering.DefaultRequest()
-	var sc viz.FrameScratch
-	var roi viz.BlockMeshCache
-	var field *grid.ScalarField
-	frame := func() {
-		s.Step()
-		field = s.DensityInto(field)
-		img, err := steering.RenderDatasetROI(&sc, &roi, q, field, req, 512, 512)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sc.Enc.Reset()
-		if err := img.EncodePNG(&sc.Enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-	frame()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame()
-	}
-}
-
-// BenchmarkTelemetryRecord is the per-frame observability overhead: one
-// fully populated FrameRecord through counters + batching, with a sink
-// that retains nothing (the production shape — drop, never buffer). Must
-// stay 0 allocs/op warm; `ricsa-bench -bench-diff` gates the ns/op.
-func BenchmarkTelemetryRecord(b *testing.B) {
-	col := telemetry.NewCollector(telemetry.SinkFunc(func([]telemetry.FrameRecord) {}), 0)
-	rec := telemetry.FrameRecord{
-		Session: "s1", SimNS: 100, RenderNS: 200, EncodeNS: 50,
-		ProduceNS: 400, QueueWaitNS: 10, Branches: 2, Rendered: true,
-	}
-	rec.Delivery[0], rec.Delivery[1] = 300, 900
-	col.RecordFrame(&rec)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec.Seq = uint64(i)
-		col.RecordFrame(&rec)
 	}
 }
 

@@ -45,23 +45,29 @@ type benchRow struct {
 	fn func(b *testing.B)
 }
 
-// benchInstance builds the 64-node optimization instance shared by the
-// micro-benchmarks (the same shape as the root-package cache benchmarks).
-func benchInstance() (*pipeline.Graph, *pipeline.Pipeline) {
+// benchRows is the one definition of every perf row, in artifact order:
+// -bench-json runs it under testing.Benchmark and BenchmarkRows under
+// `go test -bench`, so both measure the same fixtures.
+func benchRows() []benchRow {
+	// Control plane: the pipeline optimizer on one 64-node instance whose
+	// graph carries a measurement-epoch stamp, as every
+	// Deployment.Measure-produced graph does.
 	rng := rand.New(rand.NewSource(1))
 	g := pipeline.RandomGraph(rng, 64, 3)
 	g.Rev = pipeline.NextGraphRev()
 	p := pipeline.RandomPipeline(rng, 8, false)
-	return g, p
-}
+	cache := pipeline.NewCache(0)
+	if _, err := cache.Optimize(g, p, 0, 63); err != nil {
+		panic(fmt.Sprintf("bench warm-up cache: %v", err))
+	}
+	ups := []pipeline.EdgeUpdate{{From: 0, To: g.Adj[0][0].To, Bandwidth: 5e6, Delay: 0.01}}
 
-// frameBenches is the data-plane half of the artifact: the per-frame stages
-// of a live monitoring session (sim step, isosurface extraction,
-// rasterization, PNG encode, and the composed frame). Each stage is
-// measured twice — inline (workers = 1, the allocation-flat baseline) and
-// through the shared frame-compute pool (_par rows) — plus the dirty-block
-// ROI extraction path, so the artifact tracks both execution modes.
-func frameBenches() []benchRow {
+	// Data plane: the per-frame stages of a live monitoring session (sim
+	// step, isosurface extraction, rasterization, PNG encode, and the
+	// composed frame). Each stage is measured twice — inline (workers = 1,
+	// the allocation-flat baseline) and through the shared frame-compute
+	// pool (_par rows) — plus the dirty-block ROI extraction path, so the
+	// artifact tracks both execution modes.
 	sim := simengine.NewSod(64, 32, 32, simengine.DefaultSodParams())
 	sim.SetWorkers(1)
 	for i := 0; i < 8; i++ {
@@ -142,7 +148,64 @@ func frameBenches() []benchRow {
 	rec.Delivery[0], rec.Delivery[1] = 300, 900
 	col.RecordFrame(&rec)
 
+	// Transport: fountain-coding one maximum-shape frame generation (128
+	// source blocks of a 1 MiB frame plus a 12.5% repair budget) and
+	// decoding it with a worst-case-for-the-budget loss pattern (every
+	// repair block consumed). Both rows reuse warm codec state, the shape a
+	// per-frame sender/receiver pays — allocs/op is the regression signal,
+	// pinned at zero by the codec's property tests.
+	frame := make([]byte, 1<<20)
+	for i := range frame {
+		frame[i] = byte(i * 2654435761)
+	}
+	k := fec.SourceBlocksFor(len(frame))
+	nRepair := fec.RepairBlocksFor(k, 0.125)
+	enc := fec.NewEncoder()
+	if err := enc.Encode(frame, k, nRepair); err != nil {
+		panic(fmt.Sprintf("bench warm-up fec encode: %v", err))
+	}
+	dec := fec.NewDecoder()
+
 	return []benchRow{
+		{"optimize_dp_64node", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := pipeline.Optimize(g, p, 0, 63); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"optimize_cached_64node", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := cache.Optimize(g, p, 0, 63); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"optimize_tree_64node", func(b *testing.B) {
+			// The tail is one module, so the four viewers must share a
+			// neighbour to be served from one terminal: these do (node 29).
+			dsts := []int{63, 31, 15, 55}
+			for i := 0; i < b.N; i++ {
+				if _, err := pipeline.OptimizeMultiTiered(g, p, 0, dsts, cost.TierDelta); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"fingerprint_graph_stamped", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = g.Fingerprint()
+			}
+		}},
+		{"fingerprint_pipeline", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = p.Fingerprint()
+			}
+		}},
+		{"apply_edge_updates_64node", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				_ = g.ApplyEdgeUpdates(ups)
+			}
+		}},
 		{"telemetry_record", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rec.Seq = uint64(i)
@@ -181,11 +244,11 @@ func frameBenches() []benchRow {
 		}},
 		{"tier_encode_delta", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				frame := img
+				cur := img
 				if i&1 == 1 {
-					frame = imgNext
+					cur = imgNext
 				}
-				if _, err := tierEnc.EncodeDelta(frame, false, &tierBuf); err != nil {
+				if _, err := tierEnc.EncodeDelta(cur, false, &tierBuf); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -236,28 +299,6 @@ func frameBenches() []benchRow {
 				}
 			}
 		}},
-	}
-}
-
-// fecBenches is the transport half of the artifact: fountain-coding one
-// maximum-shape frame generation (128 source blocks of a 1 MiB frame plus
-// a 12.5% repair budget) and decoding it with a worst-case-for-the-budget
-// loss pattern (every repair block consumed). Both rows reuse warm codec
-// state, the shape a per-frame sender/receiver pays — allocs/op is the
-// regression signal, pinned at zero by the codec's property tests.
-func fecBenches() []benchRow {
-	frame := make([]byte, 1<<20)
-	for i := range frame {
-		frame[i] = byte(i * 2654435761)
-	}
-	k := fec.SourceBlocksFor(len(frame))
-	nRepair := fec.RepairBlocksFor(k, 0.125)
-	enc := fec.NewEncoder()
-	if err := enc.Encode(frame, k, nRepair); err != nil {
-		panic(fmt.Sprintf("bench warm-up fec encode: %v", err))
-	}
-	dec := fec.NewDecoder()
-	return []benchRow{
 		{"fec_encode", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if err := enc.Encode(frame, k, nRepair); err != nil {
@@ -291,62 +332,12 @@ func fecBenches() []benchRow {
 }
 
 func writeBenchJSON(path string) error {
-	g, p := benchInstance()
-	cache := pipeline.NewCache(0)
-	if _, err := cache.Optimize(g, p, 0, 63); err != nil {
-		return fmt.Errorf("warm cache: %w", err)
-	}
-	ups := []pipeline.EdgeUpdate{{From: 0, To: g.Adj[0][0].To, Bandwidth: 5e6, Delay: 0.01}}
-
-	benches := []benchRow{
-		{"optimize_dp_64node", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := pipeline.Optimize(g, p, 0, 63); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"optimize_cached_64node", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := cache.Optimize(g, p, 0, 63); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"optimize_tree_64node", func(b *testing.B) {
-			// The tail is one module, so the four viewers must share a
-			// neighbour to be served from one terminal: these do (node 29).
-			dsts := []int{63, 31, 15, 55}
-			for i := 0; i < b.N; i++ {
-				if _, err := pipeline.OptimizeMultiTiered(g, p, 0, dsts, cost.TierDelta); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"fingerprint_graph_stamped", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = g.Fingerprint()
-			}
-		}},
-		{"fingerprint_pipeline", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = p.Fingerprint()
-			}
-		}},
-		{"apply_edge_updates_64node", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_ = g.ApplyEdgeUpdates(ups)
-			}
-		}},
-	}
-	benches = append(benches, frameBenches()...)
-	benches = append(benches, fecBenches()...)
-
-	records := make([]BenchRecord, 0, len(benches))
-	for _, bench := range benches {
-		r := testing.Benchmark(bench.fn)
+	rows := benchRows()
+	records := make([]BenchRecord, 0, len(rows))
+	for _, row := range rows {
+		r := testing.Benchmark(row.fn)
 		records = append(records, BenchRecord{
-			Op:          bench.op,
+			Op:          row.op,
 			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 			AllocsPerOp: r.AllocsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),

@@ -110,49 +110,21 @@ func main() {
 // re-runs the uniform sibling and asserts the constrained train's tail is
 // strictly better — the byte saving the optimizer prices.
 func runTierDuel() error {
-	fmt.Println("== Tier duel: uniform full-resolution vs negotiated quality ladder ==")
-	fmt.Printf("%-26s %-14s %-8s %8s %8s  %-28s %s\n",
-		"scenario", "train", "tier", "p50", "p99", "delivered(per tier)", "verdict")
-	var failed []string
-	for _, sc := range []scenario.Scenario{
-		scenario.TierFlashCrowdUniform(), scenario.TierFlashCrowdMixed(),
-	} {
-		res, err := scenario.Run(sc)
-		if err != nil {
-			return fmt.Errorf("%s: %w", sc.Name, err)
-		}
-		verdict := "ok"
-		if err := sc.Verify(res); err != nil {
-			verdict = "FAIL: " + err.Error()
-			failed = append(failed, sc.Name)
-		}
-		var delivered []string
-		for t, n := range res.TierDelivered {
-			if n > 0 {
-				delivered = append(delivered, fmt.Sprintf("%s=%d", cost.Tier(t), n))
+	return runDuel("== Tier duel: uniform full-resolution vs negotiated quality ladder ==",
+		fmt.Sprintf("%-26s %-14s %-8s %8s %8s  %-28s %s",
+			"scenario", "train", "tier", "p50", "p99", "delivered(per tier)", "verdict"),
+		[]scenario.Scenario{scenario.TierFlashCrowdUniform(), scenario.TierFlashCrowdMixed()},
+		func(name string, res *scenario.Result, lbl string, last bool) string {
+			var delivered []string
+			for t, n := range res.TierDelivered {
+				if last && n > 0 {
+					delivered = append(delivered, fmt.Sprintf("%s=%d", cost.Tier(t), n))
+				}
 			}
-		}
-		labels := make([]string, 0, len(res.FrameTrains))
-		for lbl := range res.FrameTrains {
-			labels = append(labels, lbl)
-		}
-		sort.Strings(labels)
-		for i, lbl := range labels {
 			ts := res.FrameTrains[lbl]
-			d, v := "", ""
-			if i == len(labels)-1 {
-				d, v = strings.Join(delivered, " "), verdict
-			}
-			fmt.Printf("%-26s %-14s %-8s %7.4fs %7.4fs  %-28s %s\n",
-				sc.Name, lbl, ts.Tier, ts.P50, ts.P99, d, v)
-		}
-	}
-	fmt.Println()
-	if len(failed) > 0 {
-		return fmt.Errorf("%d duel side(s) failed verification: %s",
-			len(failed), strings.Join(failed, ", "))
-	}
-	return nil
+			return fmt.Sprintf("%-26s %-14s %-8s %7.4fs %7.4fs  %-28s ",
+				name, lbl, ts.Tier, ts.P50, ts.P99, strings.Join(delivered, " "))
+		})
 }
 
 // runFECDuel prints the NACK-vs-FEC head-to-head: each transport duel
@@ -163,14 +135,30 @@ func runTierDuel() error {
 // counted-fallback assertions, so a FAIL verdict here is the same
 // regression the go-test suite would catch.
 func runFECDuel() error {
-	fmt.Println("== Transport duel: NACK retransmission vs loss-adaptive fountain-FEC ==")
-	fmt.Printf("%-28s %-12s %-5s %6s %8s %9s %9s %9s  %s\n",
-		"scenario", "train", "mode", "r", "decoded", "fallback", "p50", "p99", "verdict")
+	return runDuel("== Transport duel: NACK retransmission vs loss-adaptive fountain-FEC ==",
+		fmt.Sprintf("%-28s %-12s %-5s %6s %8s %9s %9s %9s  %s",
+			"scenario", "train", "mode", "r", "decoded", "fallback", "p50", "p99", "verdict"),
+		[]scenario.Scenario{
+			scenario.FECDuelFlapStormNACK(), scenario.FECDuelFlapStormFEC(),
+			scenario.FECDuelProbeStarvedNACK(), scenario.FECDuelProbeStarvedFEC(),
+		},
+		func(name string, res *scenario.Result, lbl string, _ bool) string {
+			ts := res.FrameTrains[lbl]
+			return fmt.Sprintf("%-28s %-12s %-5s %6.3f %5d/%-2d %8d %8.4fs %8.4fs  ",
+				name, lbl, ts.Mode, ts.Redundancy, ts.Decoded, ts.Frames,
+				ts.Fallbacks, ts.P50, ts.P99)
+		})
+}
+
+// runDuel runs each duel side, judges it with its Verify, and prints one
+// table row per frame train in label order; row formats every column but
+// the verdict, which the side's last row carries.
+func runDuel(title, header string, sides []scenario.Scenario,
+	row func(name string, res *scenario.Result, lbl string, last bool) string) error {
+	fmt.Println(title)
+	fmt.Println(header)
 	var failed []string
-	for _, sc := range []scenario.Scenario{
-		scenario.FECDuelFlapStormNACK(), scenario.FECDuelFlapStormFEC(),
-		scenario.FECDuelProbeStarvedNACK(), scenario.FECDuelProbeStarvedFEC(),
-	} {
+	for _, sc := range sides {
 		res, err := scenario.Run(sc)
 		if err != nil {
 			return fmt.Errorf("%s: %w", sc.Name, err)
@@ -186,14 +174,12 @@ func runFECDuel() error {
 		}
 		sort.Strings(labels)
 		for i, lbl := range labels {
-			ts := res.FrameTrains[lbl]
+			last := i == len(labels)-1
 			v := ""
-			if i == len(labels)-1 {
+			if last {
 				v = verdict
 			}
-			fmt.Printf("%-28s %-12s %-5s %6.3f %5d/%-2d %8d %8.4fs %8.4fs  %s\n",
-				sc.Name, lbl, ts.Mode, ts.Redundancy, ts.Decoded, ts.Frames,
-				ts.Fallbacks, ts.P50, ts.P99, v)
+			fmt.Println(row(sc.Name, res, lbl, last) + v)
 		}
 	}
 	fmt.Println()

@@ -490,7 +490,6 @@ func (e *Engine) MeasureTierFrameTrainNow(at time.Duration, label, a, b string, 
 		}
 	}
 
-	tel := &e.mgr.Telemetry().Counters
 	ts := TrainStats{Mode: mode.String(), Tier: tier.String(), Frames: frames}
 	if mode == cost.TransportFEC {
 		ts.Redundancy = cost.FECRedundancy(est.Loss, est.LossConf)
@@ -500,15 +499,11 @@ func (e *Engine) MeasureTierFrameTrainNow(at time.Duration, label, a, b string, 
 			fs := fec.MeasureFrameWithin(ch, size, ts.Redundancy, trainBudget)
 			ts.BlocksSent += fs.BlocksSent
 			ts.RepairUsed += fs.RepairUsed
-			tel.FECBlocksSent.Add(uint64(fs.BlocksSent))
-			tel.FECRepairUsed.Add(uint64(fs.RepairUsed))
 			if fs.Decoded {
 				ts.Decoded++
 			}
 			if fs.FellBack {
 				ts.Fallbacks++
-				tel.FECDecodeFailures.Add(1)
-				tel.FECFallbacks.Add(1)
 			}
 			if fs.Delivered {
 				ts.Delivered++

@@ -330,29 +330,6 @@ func duelTrainChecks(r *Result, mode cost.TransportMode, labels ...string) error
 	return nil
 }
 
-// duelTelemetryChecks reconciles the service collector's FEC counters
-// against the trains' ground truth, the same three-way discipline the
-// load soak applies to admission counters.
-func duelTelemetryChecks(r *Result, labels ...string) error {
-	var sent, repair, fallbacks int
-	for _, lbl := range labels {
-		ts := r.FrameTrains[lbl]
-		sent += ts.BlocksSent
-		repair += ts.RepairUsed
-		fallbacks += ts.Fallbacks
-	}
-	t := r.Telemetry
-	if t.FECBlocksSent != uint64(sent) || t.FECRepairUsed != uint64(repair) {
-		return fmt.Errorf("telemetry blocks sent=%d repair=%d, trains saw %d/%d",
-			t.FECBlocksSent, t.FECRepairUsed, sent, repair)
-	}
-	if t.FECFallbacks != uint64(fallbacks) || t.FECDecodeFailures != uint64(fallbacks) {
-		return fmt.Errorf("telemetry fallbacks=%d failures=%d, trains saw %d",
-			t.FECFallbacks, t.FECDecodeFailures, fallbacks)
-	}
-	return nil
-}
-
 // fecDuelFlapStorm builds one side of the flap-storm transport duel: the
 // link-flap-storm fault shape (the GaTech-UT path flapping dark under an
 // active prober) with a sustained 8% loss process on the GaTech-ORNL
@@ -402,9 +379,6 @@ func fecDuelFlapStorm(mode cost.TransportMode) Scenario {
 		}
 		if late.Decoded == 0 {
 			return fmt.Errorf("no frame decoded from its coded burst")
-		}
-		if err := duelTelemetryChecks(r, "storm", "late"); err != nil {
-			return err
 		}
 		// The head-to-head claim: same seed, same script, same loss draws
 		// parameterization — FEC's tail frame delay must beat NACK's under
@@ -496,9 +470,6 @@ func fecDuelProbeStarved(mode cost.TransportMode) Scenario {
 		if rec.Decoded <= starved.Decoded {
 			return fmt.Errorf("re-provisioning did not restore decode: %d -> %d of %d",
 				starved.Decoded, rec.Decoded, rec.Frames)
-		}
-		if err := duelTelemetryChecks(r, labels...); err != nil {
-			return err
 		}
 		// Head-to-head on the well-provisioned high-loss regime.
 		sib, err := Run(fecDuelProbeStarved(cost.TransportNACK))

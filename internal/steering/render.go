@@ -31,31 +31,7 @@ func RenderDataset(f *grid.ScalarField, req Request, width, height int) (*viz.Im
 // Either way q is also the lane the raster bands and ray-cast rows run on,
 // so all of a session's pooled frame work queues fairly behind one queue.
 func RenderDatasetROI(sc *viz.FrameScratch, cache *viz.BlockMeshCache, q *fcp.Queue, f *grid.ScalarField, req Request, width, height int) (*viz.Image, error) {
-	if cache == nil || (req.Method != "" && req.Method != "isosurface") {
-		return renderDatasetInto(sc, q, f, req, width, height)
-	}
-	if sc == nil {
-		sc = &viz.FrameScratch{}
-	}
-	if req.Octant >= 0 && req.Octant < 8 {
-		oct := grid.Octants(f)[req.Octant]
-		if oct.Cells() == 0 {
-			return nil, fmt.Errorf("steering: octant %d is empty for %dx%dx%d",
-				req.Octant, f.NX, f.NY, f.NZ)
-		}
-		f = grid.SubField(f, oct)
-	}
-	sc.Bounds = [2]viz.Vec3{
-		{0, 0, 0},
-		{float32(f.NX - 1), float32(f.NY - 1), float32(f.NZ - 1)},
-	}
-	marchingcubes.ExtractROIInto(&sc.Mesh, cache, f, req.BlockEdge, req.Isovalue, q)
-	opt := render.DefaultOptions()
-	opt.Width, opt.Height = width, height
-	opt.Camera = req.Camera
-	opt.FixedBounds = &sc.Bounds
-	opt.Queue = q
-	return render.RenderWith(sc, &sc.Mesh, opt), nil
+	return renderDatasetInto(sc, cache, q, f, req, width, height)
 }
 
 // RenderDatasetInto is RenderDataset with caller-owned scratch: the mesh
@@ -65,13 +41,14 @@ func RenderDatasetROI(sc *viz.FrameScratch, cache *viz.BlockMeshCache, q *fcp.Qu
 // (encode or copy) before the next call with the same scratch. A nil sc
 // allocates fresh buffers, matching RenderDataset.
 func RenderDatasetInto(sc *viz.FrameScratch, f *grid.ScalarField, req Request, width, height int) (*viz.Image, error) {
-	return renderDatasetInto(sc, nil, f, req, width, height)
+	return renderDatasetInto(sc, nil, nil, f, req, width, height)
 }
 
 // renderDatasetInto is RenderDatasetInto with the pooled stages (raster
-// bands, ray-cast rows) submitted through q; a nil q leaves them on the
-// process default pool.
-func renderDatasetInto(sc *viz.FrameScratch, q *fcp.Queue, f *grid.ScalarField, req Request, width, height int) (*viz.Image, error) {
+// bands, ray-cast rows, dirty-block extraction) submitted through q; a nil
+// q leaves them on the process default pool. A non-nil cache makes the
+// isosurface extraction incremental (see RenderDatasetROI).
+func renderDatasetInto(sc *viz.FrameScratch, cache *viz.BlockMeshCache, q *fcp.Queue, f *grid.ScalarField, req Request, width, height int) (*viz.Image, error) {
 	if sc == nil {
 		sc = &viz.FrameScratch{}
 	}
@@ -92,7 +69,11 @@ func renderDatasetInto(sc *viz.FrameScratch, q *fcp.Queue, f *grid.ScalarField, 
 	}
 	switch req.Method {
 	case "isosurface", "":
-		marchingcubes.ExtractInto(&sc.Mesh, f, req.Isovalue)
+		if cache != nil {
+			marchingcubes.ExtractROIInto(&sc.Mesh, cache, f, req.BlockEdge, req.Isovalue, q)
+		} else {
+			marchingcubes.ExtractInto(&sc.Mesh, f, req.Isovalue)
+		}
 		opt := render.DefaultOptions()
 		opt.Width, opt.Height = width, height
 		opt.Camera = req.Camera

@@ -252,15 +252,6 @@ type Counters struct {
 	// keep up with the batch rate.
 	RecordsDropped atomic.Uint64
 
-	// Fountain-FEC transport mode (DESIGN §13): coded blocks sent (source
-	// plus repair), lost source blocks covered in-line by repair blocks,
-	// generations that could not be decoded, and counted fallbacks to the
-	// NACK path (peer decline or consecutive decode failures).
-	FECBlocksSent     atomic.Uint64
-	FECRepairUsed     atomic.Uint64
-	FECDecodeFailures atomic.Uint64
-	FECFallbacks      atomic.Uint64
-
 	// Viewer tier ladder (DESIGN §14), indexed by the tier's enum value:
 	// encodes the producer performed at each tier, and frames/bytes the
 	// delivery train shipped per tier. Arrays rather than maps keep the
@@ -302,10 +293,6 @@ type CounterSnapshot struct {
 	BlocksReused             uint64
 	BlocksExtracted          uint64
 	RecordsDropped           uint64
-	FECBlocksSent            uint64
-	FECRepairUsed            uint64
-	FECDecodeFailures        uint64
-	FECFallbacks             uint64
 	TierEncodes              [NumTierSeries]uint64
 	TierFramesSent           [NumTierSeries]uint64
 	TierBytesSent            [NumTierSeries]uint64
@@ -334,10 +321,6 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		BlocksReused:             c.BlocksReused.Load(),
 		BlocksExtracted:          c.BlocksExtracted.Load(),
 		RecordsDropped:           c.RecordsDropped.Load(),
-		FECBlocksSent:            c.FECBlocksSent.Load(),
-		FECRepairUsed:            c.FECRepairUsed.Load(),
-		FECDecodeFailures:        c.FECDecodeFailures.Load(),
-		FECFallbacks:             c.FECFallbacks.Load(),
 	}
 	for t := 0; t < NumTierSeries; t++ {
 		s.TierEncodes[t] = c.TierEncodes[t].Load()
