@@ -137,6 +137,17 @@ func benchRows() []benchRow {
 		panic(fmt.Sprintf("bench warm-up delta patch: %v", err))
 	}
 
+	// The view frame a view steer triggers: the unadvanced state
+	// re-snapshotted and re-rendered under a new camera (zoom toggled
+	// 1 <-> 0.25, as steer-loop steers) through the session's dirty-block
+	// cache, on a one-slot pool — steer-loop's inline producer. No row
+	// steps simTier, so every block is reused after the first frame.
+	viewQueue := fcp.NewPool(1).NewQueue()
+	viewReq := req
+	var viewSc viz.FrameScratch
+	var viewRoi viz.BlockMeshCache
+	var viewField *grid.ScalarField
+
 	// The observability tax per frame: counters + batch append through the
 	// collector with a no-op sink (the production shape). Warm path must be
 	// allocation-flat — the AllocsPerRun test in internal/telemetry pins 0.
@@ -295,6 +306,20 @@ func benchRows() []benchRow {
 				}
 				produceScPar.Enc.Reset()
 				if err := out.EncodePNG(&produceScPar.Enc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"frame_produce_view", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				viewReq.Camera.Zoom = 1 - 0.75*float64(i&1)
+				viewField = simTier.DensityInto(viewField)
+				out, err := steering.RenderDatasetROI(&viewSc, &viewRoi, viewQueue, viewField, viewReq, 512, 512)
+				if err != nil {
+					b.Fatal(err)
+				}
+				viewSc.Enc.Reset()
+				if err := out.EncodePNG(&viewSc.Enc); err != nil {
 					b.Fatal(err)
 				}
 			}

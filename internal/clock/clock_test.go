@@ -119,3 +119,28 @@ func TestVirtualWatchdogPanicsOnWedge(t *testing.T) {
 	}()
 	v.AwaitArmed(1) // nobody will ever arm
 }
+
+// TestVirtualNextDeadline checks NextDeadline reports the earliest armed
+// deadline, follows a Reset made outside a fire, and reports none once
+// every timer is stopped.
+func TestVirtualNextDeadline(t *testing.T) {
+	epoch := time.Unix(0, 0)
+	v := NewVirtual(epoch)
+	if _, ok := v.NextDeadline(); ok {
+		t.Fatal("deadline reported with no timer armed")
+	}
+	a := v.NewTimer(30 * time.Millisecond)
+	b := v.NewTimer(20 * time.Millisecond)
+	if when, ok := v.NextDeadline(); !ok || !when.Equal(epoch.Add(20*time.Millisecond)) {
+		t.Fatalf("next deadline %v (ok %v), want +20ms", when, ok)
+	}
+	a.Reset(10 * time.Millisecond)
+	if when, _ := v.NextDeadline(); !when.Equal(epoch.Add(10 * time.Millisecond)) {
+		t.Fatalf("next deadline %v after a re-arm, want +10ms", when)
+	}
+	a.Stop()
+	b.Stop()
+	if _, ok := v.NextDeadline(); ok {
+		t.Fatal("deadline reported after every timer stopped")
+	}
+}

@@ -62,6 +62,21 @@ func (v *Virtual) Armed() int {
 	return len(v.armed)
 }
 
+// NextDeadline reports the earliest armed timer's deadline; ok is false
+// when no timer is armed. A coordinator can wait on it to see a control
+// goroutine re-arm its timer outside a fire — which AwaitArmed, counting
+// timers, cannot tell from the old arm.
+//
+//ricsa:allow unreachable test support: steering's TestViewSteersRateLimited waits on the loop's re-arm for a deferred view frame
+func (v *Virtual) NextDeadline() (when time.Time, ok bool) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if t := v.earliestLocked(); t != nil {
+		return t.when, true
+	}
+	return time.Time{}, false
+}
+
 // SetWatchdog overrides the wall-clock rendezvous bound (0 restores the
 // default minute).
 func (v *Virtual) SetWatchdog(d time.Duration) {

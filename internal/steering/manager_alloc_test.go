@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"ricsa/internal/telemetry"
 	"ricsa/internal/testutil"
 )
 
@@ -12,7 +13,8 @@ import (
 // re-pricing, isosurface extraction, rasterization, PNG encode — stays under
 // a small fixed allocation bound per frame. The only per-frame allocations
 // left are the published PNG copy (which must be fresh: viewers retain it),
-// the notify channel, and the monitor's placement evaluation.
+// the notify channel, and the monitor's placement evaluation. The view-frame
+// pass a view steer triggers is held to the tick pass's count.
 func TestProduceAllocationFlat(t *testing.T) {
 	if testutil.RaceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
@@ -38,7 +40,7 @@ func TestProduceAllocationFlat(t *testing.T) {
 
 	// Warm up: first frame consults the CM and grows every arena.
 	for i := 0; i < 3; i++ {
-		s.produce()
+		s.produce(telemetry.CauseTick)
 	}
 	if s.Renders() == 0 {
 		t.Fatal("warm-up frames did not render")
@@ -48,11 +50,21 @@ func TestProduceAllocationFlat(t *testing.T) {
 	}
 
 	allocs := testing.AllocsPerRun(10, func() {
-		s.produce()
+		s.produce(telemetry.CauseTick)
 	})
 	t.Logf("warm produce allocs/op: %.1f", allocs)
 	if allocs > 10 {
 		t.Fatalf("warm produce allocates %.1f objects per frame, want <= 10", allocs)
+	}
+
+	// The view-frame pass is the same stages with no solver step and no
+	// monitor re-pricing: it may not allocate more than the tick pass.
+	viewAllocs := testing.AllocsPerRun(10, func() {
+		s.produce(telemetry.CauseSteerView)
+	})
+	t.Logf("warm view-frame produce allocs/op: %.1f", viewAllocs)
+	if viewAllocs > allocs {
+		t.Fatalf("warm view-frame produce allocates %.1f objects per frame, the tick pass %.1f", viewAllocs, allocs)
 	}
 }
 
@@ -73,7 +85,7 @@ func TestProduceScratchKeepsPublishedFramesImmutable(t *testing.T) {
 	detach := s.Attach()
 	defer detach()
 
-	s.produce()
+	s.produce(telemetry.CauseTick)
 	s.mu.Lock()
 	first := s.png
 	s.mu.Unlock()
@@ -84,8 +96,8 @@ func TestProduceScratchKeepsPublishedFramesImmutable(t *testing.T) {
 	if err := s.Steer(map[string]float64{"left_pressure": 9}); err != nil {
 		t.Fatal(err)
 	}
-	s.produce()
-	s.produce()
+	s.produce(telemetry.CauseTick)
+	s.produce(telemetry.CauseTick)
 
 	for i := range first {
 		if first[i] != snapshot[i] {

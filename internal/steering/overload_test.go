@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"ricsa/internal/telemetry"
 )
 
 // TestAdmissionWatermark drives the frame-budget admission path: each
@@ -114,7 +116,7 @@ func TestViewerEvictionOnLag(t *testing.T) {
 	defer legacyDetach()
 
 	for i := 0; i < 5; i++ {
-		s.produce()
+		s.produce(telemetry.CauseTick)
 		if _, _, err := live.Poll(); err != nil {
 			t.Fatalf("live viewer poll after frame %d: %v", i+1, err)
 		}
@@ -166,7 +168,7 @@ func TestEvictionWakesParkedWaiter(t *testing.T) {
 	_, s := evictionSession(t, 1)
 
 	v := s.AttachViewer()
-	s.produce()
+	s.produce(telemetry.CauseTick)
 	if _, _, err := v.Poll(); err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +182,8 @@ func TestEvictionWakesParkedWaiter(t *testing.T) {
 	// Let the waiter park, then blow past the lag threshold. Its delivered
 	// mark stays at frame 1, so frame 3 evicts it (lag 2 > 1).
 	time.Sleep(10 * time.Millisecond) //ricsa:wallclock waits for goroutine scheduling (the waiter parking), not clock time
-	s.produce()
-	s.produce()
+	s.produce(telemetry.CauseTick)
+	s.produce(telemetry.CauseTick)
 	select {
 	case err := <-errc:
 		if !errors.Is(err, ErrViewerEvicted) {
@@ -200,9 +202,9 @@ func TestFrameTelemetryRecorded(t *testing.T) {
 
 	v := s.AttachViewer()
 	defer v.Close()
-	s.produce() // rendered (viewer attached)
+	s.produce(telemetry.CauseTick) // rendered (viewer attached)
 	v.Close()
-	s.produce() // idle frame (lazy rendering skips pixels)
+	s.produce(telemetry.CauseTick) // idle frame (lazy rendering skips pixels)
 
 	snap := m.Telemetry().Snapshot()
 	if snap.FramesProduced != 2 || snap.FramesRendered != 1 {

@@ -127,11 +127,13 @@ var steerKeys = map[string]steerKey{
 }
 
 // Steer applies named steering parameters: physics keys go to the
-// simulator at its next step boundary; view keys retarget the renderer. A
-// changed isovalue invalidates the pipeline cost model, forcing a CM
-// consultation before the next frame. Application is atomic: the keys edit
-// copies that are installed only once every key resolved, so an unknown key
-// rejects the whole request with nothing applied.
+// simulator at its next step boundary; view keys retarget the renderer,
+// and a changed view wakes the producer for a view frame that shows it
+// without waiting for the next tick (see run). A changed isovalue
+// invalidates the pipeline cost model, forcing a CM consultation before
+// the next frame. Application is atomic: the keys edit copies that are
+// installed only once every key resolved, so an unknown key rejects the
+// whole request with nothing applied.
 func (s *ManagedSession) Steer(params map[string]float64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -152,6 +154,15 @@ func (s *ManagedSession) Steer(params map[string]float64) error {
 		// Cost model changed: rebuild and re-optimize next frame.
 		s.pipe = nil
 		s.pipeGen++
+	}
+	if req.Camera != s.req.Camera || req.Isovalue != s.req.Isovalue {
+		s.viewGen++
+		if s.viewers > 0 {
+			select {
+			case s.kick <- struct{}{}:
+			default:
+			}
+		}
 	}
 	s.req = req
 	if steerSim {

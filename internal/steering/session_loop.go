@@ -53,17 +53,25 @@ type ManagedSession struct {
 	// forced re-key.
 	deltaKey    []byte
 	deltaKeySeq uint64
-	// latest is the newest unrendered dataset snapshot (with the request it
-	// was produced under), kept so a viewer arriving after idle frames can
-	// have the current frame rendered on demand. lazyTarget is the frame
-	// seq a WaitFrame caller is currently rendering (0 = none): on-demand
+	// latest is the newest unrendered dataset snapshot, kept so a viewer
+	// arriving after idle frames can have the current frame rendered on
+	// demand, under the current request. lazyTarget is the frame seq a
+	// WaitFrame caller is currently rendering (0 = none): on-demand
 	// rendering is single-flight, so a poll burst against an idle session
 	// pays one render, not one per waiter.
 	latest     *grid.ScalarField
-	latestReq  Request
 	lazyTarget uint64
 	notify     chan struct{}
-	viewers    int
+	// kick wakes the lifecycle goroutine for a view frame (DESIGN §5). It
+	// is buffered 1 and Steer sends without blocking, so a steer burst
+	// coalesces into one wake and Steer never waits on the producer.
+	kick chan struct{}
+	// viewGen counts steers that moved the view (camera or isovalue);
+	// shownGen is the viewGen the newest published frame was produced
+	// under. A view frame is owed while they differ and a viewer watches.
+	viewGen  uint64
+	shownGen uint64
+	viewers  int
 	// tracked holds the Viewers subject to the slow-consumer eviction
 	// policy (AttachViewer); presence-only Attach viewers are counted in
 	// viewers but not tracked.
@@ -185,6 +193,7 @@ func newManagedSession(m *SessionManager, req Request) (*ManagedSession, error) 
 		sim:         sim,
 		req:         req,
 		notify:      make(chan struct{}),
+		kick:        make(chan struct{}, 1),
 		tracked:     make(map[*Viewer]struct{}),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
@@ -202,22 +211,81 @@ func newManagedSession(m *SessionManager, req Request) (*ManagedSession, error) 
 // slowly — the paper's "the simulation does not proceed until the image
 // from the last time step is delivered", with the emulated delivery time
 // standing in for physical transfer.
+//
+// Between ticks a view steer (Steer's kick) is shown at once by a view
+// frame: the same produce with zero solver steps, so the simulation does
+// not advance and the pacing rule still holds. View frames are rate
+// limited to one per FramePeriod; a steer inside that window is deferred
+// by re-arming the loop's one timer to the window's end when that comes
+// before the next tick, and a tick that comes first shows it instead.
 func (s *ManagedSession) run() {
 	defer close(s.done)
 	clk := s.mgr.clk
 	start := clk.Now()
-	s.produce()
-	timer := clk.NewTimer(s.nextDelay(clk.Since(start)))
+	s.produce(telemetry.CauseTick)
+	d := s.nextDelay(clk.Since(start))
+	tick := clk.Now().Add(d)
+	timer := clk.NewTimer(d)
 	defer timer.Stop()
+	// lastView is when the newest view frame began; deferred reports the
+	// timer is armed for a view frame the rate limit held back, due
+	// before tick.
+	var lastView time.Time
+	deferred := false
 	for {
 		select {
 		case <-s.stop:
 			return
 		case <-timer.C():
-			start = clk.Now()
-			s.produce()
-			timer.Reset(s.nextDelay(clk.Since(start)))
+			if now := clk.Now(); !deferred || !now.Before(tick) {
+				deferred = false
+				start = now
+				s.produce(telemetry.CauseTick)
+				d := s.nextDelay(clk.Since(start))
+				tick = clk.Now().Add(d)
+				timer.Reset(d)
+				continue
+			}
+			deferred = false
+			if s.viewOwed() {
+				lastView = clk.Now()
+				s.produceView(tick)
+			}
+			timer.Reset(max(0, tick.Sub(clk.Now())))
+		case <-s.kick:
+			now := clk.Now()
+			due := lastView.Add(s.FramePeriod)
+			switch {
+			case deferred || !now.Before(tick) || !s.viewOwed():
+				// Already scheduled, or the due tick (or one already
+				// published) shows the steer.
+			case !now.Before(due):
+				lastView = now
+				s.produceView(tick)
+			case due.Before(tick):
+				deferred = true
+				timer.Reset(due.Sub(now))
+			}
 		}
+	}
+}
+
+// viewOwed reports whether a view steer is not yet on screen while a
+// viewer watches; with nobody watching, the next lazy render shows it.
+func (s *ManagedSession) viewOwed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.viewers > 0 && s.viewGen != s.shownGen
+}
+
+// produceView runs a view frame, which only ever starts before the next
+// tick, and charges any overrun past that tick to the tick's queue wait.
+//
+//ricsa:noalloc
+func (s *ManagedSession) produceView(tick time.Time) {
+	s.produce(telemetry.CauseSteerView)
+	if late := s.mgr.clk.Since(tick); late > 0 {
+		s.lateNS = int64(late)
 	}
 }
 
@@ -264,14 +332,16 @@ func (s *ManagedSession) halt() {
 // the snapshot and the byte slices publish installs.
 type frame struct {
 	rec telemetry.FrameRecord
-	// req, due and the mapping are what the session held when the frame
-	// began, read in one critical section so the control stage prices the
-	// same request the snapshot was taken under.
-	req   Request
-	due   bool
-	pipe  *pipeline.Pipeline
-	tree  *pipeline.VRTree
-	field *grid.ScalarField
+	// req (and the viewGen it carries), due and the mapping are what the
+	// session held when the frame began, read in one critical section so
+	// the control stage prices the same request the snapshot was taken
+	// under.
+	req     Request
+	viewGen uint64
+	due     bool
+	pipe    *pipeline.Pipeline
+	tree    *pipeline.VRTree
+	field   *grid.ScalarField
 
 	render   bool                // a viewer is attached: do pixel work
 	wantTier [cost.NumTiers]bool // reduced tiers to encode beside the full frame
@@ -291,11 +361,19 @@ type frame struct {
 // kept so WaitFrame can render the current frame on demand. The stages cut
 // where FrameRecord's SimNS/RenderNS/EncodeNS start and stop.
 //
+// A CauseSteerView frame is the same pass with zero solver steps: it
+// re-snapshots the unadvanced state to show a view steer, consults the CM
+// only when the steer invalidated the cost model, reports no queue wait and
+// does not count toward the ReoptimizeEvery schedule.
+//
 //ricsa:noalloc
-func (s *ManagedSession) produce() {
+func (s *ManagedSession) produce(cause telemetry.FrameCause) {
 	start := telemetry.StartStage()
 	var f frame
-	f.rec.QueueWaitNS = s.lateNS
+	f.rec.Cause = cause
+	if cause == telemetry.CauseTick {
+		f.rec.QueueWaitNS = s.lateNS
+	}
 	s.advance(&f)
 	s.control(&f)
 	s.demand(&f)
@@ -308,14 +386,17 @@ func (s *ManagedSession) produce() {
 	s.publish(&f, start)
 }
 
-// advance is the simulate stage: StepsPerFrame solver cycles, then the
-// monitored variable's snapshot into the producer's buffer.
+// advance is the simulate stage: StepsPerFrame solver cycles (none for a
+// view frame), then the monitored variable's snapshot into the producer's
+// buffer.
 //
 //ricsa:noalloc
 func (s *ManagedSession) advance(f *frame) {
+	tick := f.rec.Cause == telemetry.CauseTick
 	s.mu.Lock()
 	f.req = s.req
-	f.due = s.pipe == nil || s.sinceOpt >= s.mgr.cfg.ReoptimizeEvery
+	f.viewGen = s.viewGen
+	f.due = s.pipe == nil || tick && s.sinceOpt >= s.mgr.cfg.ReoptimizeEvery
 	f.pipe, f.tree = s.pipe, s.tree
 	// Take the producer's snapshot buffer (nil when the previous frame's
 	// snapshot is stashed in latest and may still be read by a lazy render).
@@ -324,7 +405,7 @@ func (s *ManagedSession) advance(f *frame) {
 	s.mu.Unlock()
 
 	simStart := telemetry.StartStage()
-	for i := 0; i < f.req.StepsPerFrame; i++ {
+	for i := 0; tick && i < f.req.StepsPerFrame; i++ {
 		s.sim.Step()
 	}
 	if f.req.Variable == "pressure" {
@@ -336,11 +417,13 @@ func (s *ManagedSession) advance(f *frame) {
 }
 
 // control is the monitor/adapt stage: consult the CM on schedule, or early
-// when the Adapter reports the installed mapping has drifted.
+// when the Adapter reports the installed mapping has drifted. A view frame
+// re-prices nothing — the network did not move since the tick — unless its
+// steer reset the cost model.
 //
 //ricsa:noalloc
 func (s *ManagedSession) control(f *frame) {
-	if !f.due && f.pipe != nil && f.tree != nil && s.monitor(f.pipe, f.tree) {
+	if !f.due && f.rec.Cause == telemetry.CauseTick && f.pipe != nil && f.tree != nil && s.monitor(f.pipe, f.tree) {
 		f.due = true
 	}
 	if f.due {
@@ -427,20 +510,23 @@ func (s *ManagedSession) encode(f *frame) {
 //ricsa:noalloc
 func (s *ManagedSession) publish(f *frame, start telemetry.Stopwatch) {
 	s.mu.Lock()
-	s.sinceOpt++
+	if f.rec.Cause == telemetry.CauseTick {
+		s.sinceOpt++
+	}
 	s.renderErr = f.err
 	switch {
 	case !f.render:
 		// If this supersedes a stashed snapshot no lazy render holds,
 		// recycle its buffer.
 		s.seq++
+		s.shownGen = f.viewGen
 		if s.latest != nil && s.lazyTarget == 0 {
 			s.fieldScratch = s.latest
 		}
 		s.latest = f.field
-		s.latestReq = f.req
 	case f.err == nil:
 		s.seq++
+		s.shownGen = f.viewGen
 		s.png = f.png
 		s.pngSeq = s.seq
 		s.renders++

@@ -8,6 +8,7 @@ import (
 
 	"ricsa/internal/cost"
 	"ricsa/internal/pipeline"
+	"ricsa/internal/telemetry"
 	"ricsa/internal/viz"
 )
 
@@ -62,7 +63,7 @@ func TestViewerTierNegotiationAndServing(t *testing.T) {
 
 	const frames = 3
 	for i := 0; i < frames; i++ {
-		s.produce()
+		s.produce(telemetry.CauseTick)
 	}
 
 	seq, full, err := vFull.Poll()
@@ -184,7 +185,7 @@ func TestViewerTierClampedByBudget(t *testing.T) {
 	if v.Tier() != cost.TierFull {
 		t.Fatalf("tier %v escaped the full-resolution budget", v.Tier())
 	}
-	s.produce()
+	s.produce(telemetry.CauseTick)
 	seq, frame, err := v.Poll()
 	if err != nil || seq == 0 {
 		t.Fatalf("poll: %d, %v", seq, err)
@@ -209,7 +210,7 @@ func TestViewerTierFallbackBeforeEncode(t *testing.T) {
 	_, s := newTierTestSession(t, cost.TierQuarter)
 	warm := s.AttachViewer()
 	defer warm.Close()
-	s.produce()
+	s.produce(telemetry.CauseTick)
 
 	v := s.AttachViewerTier(cost.TierHalf)
 	defer v.Close()
@@ -219,7 +220,7 @@ func TestViewerTierFallbackBeforeEncode(t *testing.T) {
 	if seq, frame, err := v.Poll(); err != nil || frame != nil {
 		t.Fatalf("pre-encode poll: %d, %d bytes, %v", seq, len(frame), err)
 	}
-	s.produce()
+	s.produce(telemetry.CauseTick)
 	seq, frame, err := v.Poll()
 	if err != nil || frame == nil {
 		t.Fatalf("post-encode poll: %d, %v", seq, err)
@@ -234,7 +235,7 @@ func TestViewerTierFallbackBeforeEncode(t *testing.T) {
 	s.mu.Lock()
 	staleSeq := s.tierSeq[cost.TierHalf]
 	s.mu.Unlock()
-	s.produce()
+	s.produce(telemetry.CauseTick)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.tierSeq[cost.TierHalf] != staleSeq {
@@ -257,7 +258,7 @@ func TestLoneClientTreeStaysFullResolution(t *testing.T) {
 	}
 	v := s.AttachViewer()
 	defer v.Close()
-	s.produce()
+	s.produce(telemetry.CauseTick)
 
 	tree := s.Tree()
 	if tree == nil || len(tree.Branches) != 1 || tree.Branches[0].Tier != cost.TierFull {
@@ -287,7 +288,7 @@ func TestLoneClientTreeStaysFullResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	fan.sim.SetWorkers(1)
-	fan.produce()
+	fan.produce(telemetry.CauseTick)
 	if len(asked) != 2 || asked[0] != cost.TierFull || asked[1] != cost.TierDelta {
 		t.Fatalf("consulted under budgets %v, want [full delta]", asked)
 	}

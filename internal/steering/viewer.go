@@ -201,7 +201,7 @@ func (s *ManagedSession) waitFrame(ctx context.Context, since uint64, v *Viewer)
 // may publish a newer frame meanwhile, in which case this result is simply
 // superseded.
 func (s *ManagedSession) lazyRender() error {
-	field, req := s.latest, s.latestReq
+	field, req := s.latest, s.req
 	target := s.seq
 	s.lazyTarget = target
 	w, h := s.Width, s.Height

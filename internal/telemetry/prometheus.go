@@ -84,6 +84,7 @@ func (c *Counters) WritePrometheus(w io.Writer, gauges ...Gauge) {
 	counter("ricsa_frames_produced_total", "Frames produced across all sessions.", c.FramesProduced.Load())
 	counter("ricsa_frames_rendered_total", "Frames that ran the render+encode stages (not skipped by lazy rendering).", c.FramesRendered.Load())
 	counter("ricsa_frames_late_total", "Frames that started past their scheduled cadence.", c.FramesLate.Load())
+	counter("ricsa_frames_steer_view_total", "Out-of-cadence frames view steers triggered (no solver step).", c.FramesSteerView.Load())
 	counter("ricsa_telemetry_records_dropped_total", "Frame records shed because the sink fell behind.", c.RecordsDropped.Load())
 	counter("ricsa_blocks_reused_total", "Dirty-block ROI cache hits: per-block meshes reused without re-extraction.", c.BlocksReused.Load())
 	counter("ricsa_blocks_extracted_total", "Blocks re-extracted by the dirty-block ROI path.", c.BlocksExtracted.Load())

@@ -28,6 +28,29 @@ import (
 // allocation-free.
 const MaxBranches = 8
 
+// FrameCause is why a frame was produced. The zero value is the paced
+// tick, so records built before the field existed read as ticks.
+type FrameCause uint8
+
+const (
+	// CauseTick is a frame of the session's paced loop: solver steps, then
+	// the visualization of the advanced state.
+	CauseTick FrameCause = iota
+	// CauseSteerView is an out-of-cadence frame a view steer (zoom, yaw,
+	// pitch, isovalue) triggered: zero solver steps, the unadvanced state
+	// re-rendered under the new view.
+	CauseSteerView
+)
+
+// String names the cause: "tick" or "steer_view", the suffix of its
+// /metrics series.
+func (c FrameCause) String() string {
+	if c == CauseSteerView {
+		return "steer_view"
+	}
+	return "tick"
+}
+
 // FrameRecord is one produced frame's measurement: where its wall time
 // went, stage by stage, plus the delivery delays its installed mapping
 // predicts. All durations are nanoseconds. The struct is fixed-size and
@@ -69,6 +92,9 @@ type FrameRecord struct {
 	// render/encode stages (false for idle frames skipped by lazy
 	// rendering).
 	Rendered bool
+	// Cause is why the frame was produced. A CauseSteerView frame ran no
+	// solver step (SimNS is the snapshot alone) and reports QueueWaitNS 0.
+	Cause FrameCause
 }
 
 // Sink receives full batches of frame records. Flush is called outside
@@ -134,6 +160,9 @@ func (c *Collector) RecordFrame(rec *FrameRecord) {
 	}
 	if rec.QueueWaitNS > 0 {
 		c.FramesLate.Add(1)
+	}
+	if rec.Cause == CauseSteerView {
+		c.FramesSteerView.Add(1)
 	}
 	c.StageSimNS.Add(rec.SimNS)
 	c.StageRenderNS.Add(rec.RenderNS)
@@ -228,6 +257,9 @@ type Counters struct {
 	// FramesLate counts frames that started past their scheduled cadence
 	// (QueueWaitNS > 0).
 	FramesLate atomic.Uint64
+	// FramesSteerView counts the out-of-cadence frames view steers
+	// triggered (Cause == CauseSteerView); they are among FramesProduced.
+	FramesSteerView atomic.Uint64
 
 	// Cumulative stage time, nanoseconds. Divide by FramesProduced (or
 	// FramesRendered for the pixel stages) for per-frame means.
@@ -283,6 +315,7 @@ type CounterSnapshot struct {
 	FramesProduced           uint64
 	FramesRendered           uint64
 	FramesLate               uint64
+	FramesSteerView          uint64
 	StageSimNS               int64
 	StageRenderNS            int64
 	StageEncodeNS            int64
@@ -311,6 +344,7 @@ func (c *Counters) Snapshot() CounterSnapshot {
 		FramesProduced:           c.FramesProduced.Load(),
 		FramesRendered:           c.FramesRendered.Load(),
 		FramesLate:               c.FramesLate.Load(),
+		FramesSteerView:          c.FramesSteerView.Load(),
 		StageSimNS:               c.StageSimNS.Load(),
 		StageRenderNS:            c.StageRenderNS.Load(),
 		StageEncodeNS:            c.StageEncodeNS.Load(),

@@ -186,3 +186,36 @@ func TestWritePrometheus(t *testing.T) {
 		t.Errorf("expected every series to carry TYPE metadata:\n%s", out)
 	}
 }
+
+// TestFrameCauseCountedAndSunk checks the frame's cause reaches the sink
+// record unchanged, a steer-view frame is counted in both FramesProduced
+// and FramesSteerView, and the zero value reads as a tick.
+func TestFrameCauseCountedAndSunk(t *testing.T) {
+	var got []FrameCause
+	c := NewCollector(SinkFunc(func(batch []FrameRecord) {
+		for _, r := range batch {
+			got = append(got, r.Cause)
+		}
+	}), 3)
+	for i, cause := range []FrameCause{CauseTick, CauseSteerView, CauseTick} {
+		rec := sampleRecord(uint64(i+1), true)
+		rec.Cause = cause
+		c.RecordFrame(&rec)
+	}
+	if len(got) != 3 || got[0] != CauseTick || got[1] != CauseSteerView || got[2] != CauseTick {
+		t.Fatalf("sunk causes %v, want [tick steer_view tick]", got)
+	}
+	snap := c.Snapshot()
+	if snap.FramesProduced != 3 || snap.FramesSteerView != 1 {
+		t.Fatalf("produced %d, steer-view %d; want 3 and 1", snap.FramesProduced, snap.FramesSteerView)
+	}
+	var zero FrameRecord
+	if zero.Cause.String() != "tick" || CauseSteerView.String() != "steer_view" {
+		t.Fatalf("cause names %q/%q, want tick/steer_view", zero.Cause, CauseSteerView)
+	}
+	var sb strings.Builder
+	c.WritePrometheus(&sb)
+	if !strings.Contains(sb.String(), "ricsa_frames_steer_view_total 1\n") {
+		t.Fatalf("exposition lacks the steer-view counter:\n%s", sb.String())
+	}
+}

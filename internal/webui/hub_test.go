@@ -752,3 +752,60 @@ func TestHubMetricsAndCMOnVirtualClock(t *testing.T) {
 		}
 	}
 }
+
+// TestHubMetricsCountsSteerViewFrames posts a zoom steer through the hub on
+// a virtual clock that never advances: the viewer's long poll is answered
+// by the view frame it triggers, and /metrics counts that frame as
+// ricsa_frames_steer_view_total.
+func TestHubMetricsCountsSteerViewFrames(t *testing.T) {
+	clk := clock.NewVirtual(time.Unix(0, 0))
+	mgr := steering.NewSessionManager(steering.ManagerConfig{MaxSessions: 1, Seed: 42, Clock: clk})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		mgr.Shutdown(ctx)
+	}()
+	req := steering.DefaultRequest()
+	req.NX, req.NY, req.NZ = 16, 8, 8
+	req.StepsPerFrame = 1
+	s, err := mgr.CreateTuned(req, 200*time.Millisecond, 48, 48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.AwaitArmed(1) // first frame published, the loop parked
+	defer s.Attach()()
+	seq0 := s.Status()["frame_seq"].(uint64)
+
+	srv := httptest.NewServer(NewHub(mgr).Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/sessions/"+s.ID+"/api/steer", "application/json", strings.NewReader(`{"zoom":0.5}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("steer status %d", resp.StatusCode)
+	}
+	resp, err = http.Get(srv.URL + "/sessions/" + s.ID + "/api/frame?since=" + strconv.FormatUint(seq0, 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get("X-Frame-Seq"); resp.StatusCode != http.StatusOK || got != strconv.FormatUint(seq0+1, 10) {
+		t.Fatalf("frame poll: status %d, X-Frame-Seq %q, want the view frame %d", resp.StatusCode, got, seq0+1)
+	}
+
+	resp, err = http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	m := parseMetrics(t, string(body))
+	if got := m["ricsa_frames_steer_view_total"]; got != 1 {
+		t.Fatalf("ricsa_frames_steer_view_total = %g, want 1\n%s", got, body)
+	}
+	if got := m["ricsa_frames_produced_total"]; got != float64(seq0+1) {
+		t.Fatalf("ricsa_frames_produced_total = %g, want %d", got, seq0+1)
+	}
+}
