@@ -85,6 +85,14 @@ func benchRows() []benchRow {
 	for i := 0; i < 8; i++ {
 		simPar.Step()
 	}
+	// The non-symmetric problem: a bow shock's pencils are rarely uniform
+	// or repeated, so this row shows what the solver's short cuts cost
+	// where they seldom fire.
+	simBow := simengine.NewBowShock(64, 32, 32, simengine.DefaultBowShockParams())
+	simBow.SetWorkers(1)
+	for i := 0; i < 8; i++ {
+		simBow.Step()
+	}
 	blocks := grid.Decompose(field, 8)
 	var blockMesh viz.Mesh
 	marchingcubes.ExtractBlocksInto(&blockMesh, field, blocks, req.Isovalue, 0)
@@ -322,6 +330,11 @@ func benchRows() []benchRow {
 				if err := out.EncodePNG(&viewSc.Enc); err != nil {
 					b.Fatal(err)
 				}
+			}
+		}},
+		{"frame_sim_step_bowshock", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				simBow.Step()
 			}
 		}},
 		{"fec_encode", func(b *testing.B) {

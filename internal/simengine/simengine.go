@@ -8,7 +8,19 @@
 // Two canonical problems are provided: the Sod shock tube (the paper's GUI
 // example) with an exact Riemann solution for verification, and a stellar
 // wind bow shock (the paper's Fig. 6 animation) formed by supersonic inflow
-// around a rigid spherical obstacle.
+// around a rigid spherical obstacle. Both are driven at their -x end: the
+// bow shock's ghost cells hold the wind, and Sod's hold its left state at
+// rest, a reservoir that keeps the tube from draining through its
+// transmissive ends. A left_pressure or left_density steer moves the
+// reservoir with the left fifth of the tube, so the tube stays driven at
+// the steered state.
+//
+// The pencil kernel skips work whose result it knows bit for bit: a
+// pencil whose primitives are bitwise uniform is left as it is, and a
+// pencil that repeats the primitives a worker last computed fluxes from
+// reuses those fluxes (see sweepPencil for why both are exact). Sod is a
+// 1-D problem on a 3-D grid, so its y and z pencils are all uniform and
+// its x pencils all repeat.
 package simengine
 
 import (
@@ -27,7 +39,8 @@ type Params struct {
 	CFL   float64 // Courant number in (0, 1)
 
 	// Sod initial conditions: left/right density and pressure across the
-	// diaphragm. Steering the pressure ratio mid-run re-energizes the tube.
+	// diaphragm. The left state is also the reservoir held at the -x end.
+	// Steering the pressure ratio mid-run re-energizes the tube.
 	LeftDensity   float64
 	LeftPressure  float64
 	RightDensity  float64

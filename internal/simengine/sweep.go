@@ -77,9 +77,18 @@ func (s *Sim) ensureScratch(workers int) []*sweepScratch {
 
 // sweepScratch holds per-worker pencil buffers (2 ghost cells per side),
 // sized for pencils up to n cells and reused across sweeps and steps.
+//
+// fR..fE outlive the pencil they were computed for: kRho..kPr hold the
+// primitives, ghosts included, they were computed from, for a pencil of kM
+// cells with ghosts under gamma kGamma (kM == 0: nothing cached). A pencil
+// whose primitives match that key bit for bit reuses the fluxes. The two
+// primitive sets trade places on a miss, so keeping the key costs no copy.
 type sweepScratch struct {
 	n                          int       // pencil capacity
 	rho, un, ut1, ut2, pr      []float64 // primitives with ghosts
+	kRho, kUn, kUt1, kUt2, kPr []float64 // primitives fR..fE were computed from
+	kM                         int
+	kGamma                     float64
 	dRho, dUn, dUt1, dUt2, dPr []float64 // minmod-limited slope of each primitive, per cell
 	fR, fMn, fMt1, fMt2, fE    []float64 // interface fluxes
 	solid                      []bool
@@ -93,6 +102,8 @@ func newSweepScratch(n int) *sweepScratch {
 		n:   n,
 		rho: make([]float64, g), un: make([]float64, g),
 		ut1: make([]float64, g), ut2: make([]float64, g), pr: make([]float64, g),
+		kRho: make([]float64, g), kUn: make([]float64, g),
+		kUt1: make([]float64, g), kUt2: make([]float64, g), kPr: make([]float64, g),
 		dRho: make([]float64, g), dUn: make([]float64, g),
 		dUt1: make([]float64, g), dUt2: make([]float64, g), dPr: make([]float64, g),
 		fR: make([]float64, n+1), fMn: make([]float64, n+1),
@@ -133,11 +144,11 @@ func (s *Sim) pencilBase(axis, p int) (base, stride int) {
 	}
 }
 
-// sweepPencil updates one pencil with MUSCL-HLL in four passes over the
-// worker's scratch: gather primitives (plus ghosts and the solid mirror),
-// one minmod-limited slope per cell and primitive, the HLL flux of every
-// interface computed in place, and the conservative update. The per-cell
-// loops make no calls and hold no closure.
+// sweepPencil updates one pencil with MUSCL-HLL over the worker's scratch:
+// gather primitives (plus ghosts and the solid mirror), one minmod-limited
+// slope per cell and primitive, the HLL flux of every interface computed in
+// place, and the conservative update. The per-cell loops make no calls and
+// hold no closure.
 //
 // The kernel performs the same float operations on the same operands in the
 // same order as the reference kept in kernel_ref_test.go (each cell's slope
@@ -148,6 +159,30 @@ func (s *Sim) pencilBase(axis, p int) (base, stride int) {
 // differs for NaN operands and in the sign of a zero result. A ±0 wave
 // speed takes an upwind branch that never reads it, and a state holding a
 // NaN is already lost.
+//
+// Two short cuts skip work whose result is known bit for bit; both apply
+// after the ghost fill and the mirror, so they see exactly the primitives
+// the flux pass would read.
+//
+//   - A uniform pencil returns at once. When the pencil has no solid cell
+//     and all five primitives, ghosts included, carry the same bits in
+//     every cell, every interface sees the same two states and gets the
+//     same flux bits, so every flux difference is +0 and the update adds
+//     nlam·(+0) = −0, which leaves every value as it was. The test is on
+//     bits because +0 and −0 compare equal, and a pencil mixing them does
+//     change sign bits on the full path. A density above the 1e-12 floor
+//     means the gather clamped none, so the update's clamp would not fire
+//     either. This holds whenever the flux is finite; a non-finite flux
+//     already turns the whole pencil to NaN on the full path.
+//   - A pencil whose primitives (ghosts included), length and gamma match,
+//     bit for bit, those the worker's fluxes were last computed from reuses
+//     those fluxes. The slopes and fluxes read nothing else, so they would
+//     come out the same; the update still reads this pencil's own conserved
+//     values and solid flags.
+//
+// Sod is a 1-D problem on a 3-D grid, so every one of its y and z pencils
+// is uniform and its x pencils repeat; the bow shock's free stream gives
+// both short cuts some pencils too.
 //
 //ricsa:noalloc
 func (s *Sim) sweepPencil(axis, p int, dt float64, par Params, ws *sweepScratch) {
@@ -194,8 +229,10 @@ func (s *Sim) sweepPencil(axis, p int, dt float64, par Params, ws *sweepScratch)
 		anySolid = anySolid || sd
 	}
 
-	// Ghost cells: outflow (zero gradient) everywhere, except the bow
-	// shock's -x inflow which is pinned to the wind state.
+	// Ghost cells: outflow (zero gradient) everywhere, except the -x end,
+	// where each problem is driven: the bow shock's inflow is pinned to the
+	// wind state, and Sod's to its left reservoir at rest, so the tube does
+	// not drain through it.
 	lo, hi := ghosts, n+ghosts-1
 	for gi := 0; gi < ghosts; gi++ {
 		h := hi + 1 + gi
@@ -203,9 +240,14 @@ func (s *Sim) sweepPencil(axis, p int, dt float64, par Params, ws *sweepScratch)
 		rho[h], un[h], ut1[h], ut2[h], pr[h] = rho[hi], un[hi], ut1[hi], ut2[hi], pr[hi]
 		solid[gi], solid[h] = false, false
 	}
-	if s.Problem == ProblemBowShock && axis == 0 {
+	if axis == 0 {
 		for gi := 0; gi < ghosts; gi++ {
-			rho[gi], un[gi], ut1[gi], ut2[gi], pr[gi] = par.WindDensity, par.WindVelocity, 0, 0, par.WindPressure
+			switch s.Problem {
+			case ProblemBowShock:
+				rho[gi], un[gi], ut1[gi], ut2[gi], pr[gi] = par.WindDensity, par.WindVelocity, 0, 0, par.WindPressure
+			case ProblemSod:
+				rho[gi], un[gi], ut1[gi], ut2[gi], pr[gi] = par.LeftDensity, 0, 0, 0, par.LeftPressure
+			}
 		}
 	}
 
@@ -231,6 +273,55 @@ func (s *Sim) sweepPencil(axis, p int, dt float64, par Params, ws *sweepScratch)
 			}
 		}
 	}
+
+	// The two short cuts (see above). A uniform pencil needs the update to
+	// add exactly −0, i.e. nlam·(+0) to carry the sign bit alone.
+	nlam := -(dt / s.dx)
+	if !anySolid && math.Float64bits(nlam*0) == 1<<63 && rho[0] > 1e-12 &&
+		uniformBits(rho) && uniformBits(un) && uniformBits(ut1) && uniformBits(ut2) && uniformBits(pr) {
+		return
+	}
+	if !ws.holdsFluxes(m, g) {
+		ws.fluxes(n, g)
+	}
+
+	// Conservative update, skipping solid cells.
+	fR, fMn, fMt1, fMt2, fE := ws.fR[:n+1], ws.fMn[:n+1], ws.fMt1[:n+1], ws.fMt2[:n+1], ws.fE[:n+1]
+	for k, i := 0, base; k < n; k, i = k+1, i+stride {
+		if anySolid && solid[k+ghosts] {
+			continue
+		}
+		r := s.rho[i] + nlam*(fR[k+1]-fR[k])
+		if r < 1e-12 {
+			r = 1e-12
+		}
+		s.rho[i] = r
+		mn[i] += nlam * (fMn[k+1] - fMn[k])
+		mt1[i] += nlam * (fMt1[k+1] - fMt1[k])
+		mt2[i] += nlam * (fMt2[k+1] - fMt2[k])
+		s.en[i] += nlam * (fE[k+1] - fE[k])
+	}
+}
+
+// holdsFluxes reports whether fR..fE were computed from the primitives now
+// in rho..pr, for a pencil of m cells with ghosts under gamma g.
+//
+//ricsa:noalloc
+func (ws *sweepScratch) holdsFluxes(m int, g float64) bool {
+	return m == ws.kM && math.Float64bits(g) == math.Float64bits(ws.kGamma) &&
+		sameBits(ws.rho[:m], ws.kRho) && sameBits(ws.un[:m], ws.kUn) && sameBits(ws.ut1[:m], ws.kUt1) &&
+		sameBits(ws.ut2[:m], ws.kUt2) && sameBits(ws.pr[:m], ws.kPr)
+}
+
+// fluxes computes the limited slopes and the HLL flux of every interface of
+// the n-cell pencil in rho..pr into fR..fE, then keeps those primitives as
+// the fluxes' key by trading them with the key buffers.
+//
+//ricsa:noalloc
+func (ws *sweepScratch) fluxes(n int, g float64) {
+	g1 := g - 1
+	m := n + 2*ghosts
+	rho, un, ut1, ut2, pr := ws.rho[:m], ws.un[:m], ws.ut1[:m], ws.ut2[:m], ws.pr[:m]
 
 	// One limited slope per cell and primitive; interface f reads the slopes
 	// of the cells on either side of it.
@@ -297,22 +388,35 @@ func (s *Sim) sweepPencil(axis, p int, dt float64, par Params, ws *sweepScratch)
 		}
 	}
 
-	// Conservative update, skipping solid cells.
-	nlam := -(dt / s.dx)
-	for k, i := 0, base; k < n; k, i = k+1, i+stride {
-		if anySolid && solid[k+ghosts] {
-			continue
+	ws.rho, ws.kRho = ws.kRho, ws.rho
+	ws.un, ws.kUn = ws.kUn, ws.un
+	ws.ut1, ws.kUt1 = ws.kUt1, ws.ut1
+	ws.ut2, ws.kUt2 = ws.kUt2, ws.ut2
+	ws.pr, ws.kPr = ws.kPr, ws.pr
+	ws.kM, ws.kGamma = m, g
+}
+
+// uniformBits reports whether every element of a has the bits of a[0], so
+// +0 and −0 differ.
+func uniformBits(a []float64) bool {
+	b := math.Float64bits(a[0])
+	for _, v := range a[1:] {
+		if math.Float64bits(v) != b {
+			return false
 		}
-		r := s.rho[i] + nlam*(fR[k+1]-fR[k])
-		if r < 1e-12 {
-			r = 1e-12
-		}
-		s.rho[i] = r
-		mn[i] += nlam * (fMn[k+1] - fMn[k])
-		mt1[i] += nlam * (fMt1[k+1] - fMt1[k])
-		mt2[i] += nlam * (fMt2[k+1] - fMt2[k])
-		s.en[i] += nlam * (fE[k+1] - fE[k])
 	}
+	return true
+}
+
+// sameBits reports whether b starts with the bits of a.
+func sameBits(a, b []float64) bool {
+	b = b[:len(a)]
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // limitedSlopes writes sl[j] = minmod(a[j]-a[j-1], a[j+1]-a[j]) for every
