@@ -19,7 +19,6 @@ import (
 	"ricsa/internal/netsim"
 	"ricsa/internal/pipeline"
 	"ricsa/internal/simengine"
-	"ricsa/internal/steering"
 	"ricsa/internal/transport"
 	"ricsa/internal/viz"
 	"ricsa/internal/viz/marchingcubes"
@@ -257,35 +256,5 @@ func BenchmarkBulkTransfer(b *testing.B) {
 		c := n.AddNode("c", 1)
 		l := n.Connect(a, c, netsim.LinkConfig{Bandwidth: 10 * netsim.MB, Delay: 10 * time.Millisecond})
 		netsim.MeasureBulk(l.AB, 16*netsim.MB)
-	}
-}
-
-// BenchmarkSteeringSession wires a full monitoring session (measure,
-// optimize, three frames with one steering command) on the testbed.
-func BenchmarkSteeringSession(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		cfg := netsim.DefaultTestbed()
-		cfg.Loss = 0
-		cfg.CrossMean = 0
-		d := steering.NewDeployment(netsim.Testbed(int64(i+1), cfg))
-		d.Measure([]int{512 << 10, 2 << 20}, 1)
-		req := steering.DefaultRequest()
-		req.NX, req.NY, req.NZ = 32, 16, 16
-		req.StepsPerFrame = 1
-		s, err := steering.NewSession(d, netsim.ORNL, netsim.ORNL, netsim.LSU, netsim.GaTech, req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		p := simengine.DefaultSodParams()
-		p.LeftPressure = 5
-		err = s.RunFrames(3, func(frame int) *simengine.Params {
-			if frame == 0 {
-				return &p
-			}
-			return nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -19,19 +19,7 @@ type Adapter struct {
 // NewAdapter builds an Adapter with the Manager's configured deviation
 // tolerance and window.
 func (m *Manager) NewAdapter() *Adapter {
-	return m.NewAdapterTuned(m.cfg.DeviationTolerance, m.cfg.DeviationWindow)
-}
-
-// NewAdapterTuned overrides the deviation parameters for one session
-// (tol <= 0 and window <= 0 fall back to the Manager's configuration).
-func (m *Manager) NewAdapterTuned(tol float64, window int) *Adapter {
-	if tol <= 0 {
-		tol = m.cfg.DeviationTolerance
-	}
-	if window <= 0 {
-		window = m.cfg.DeviationWindow
-	}
-	return &Adapter{m: m, tol: tol, window: window}
+	return &Adapter{m: m, tol: m.cfg.DeviationTolerance, window: m.cfg.DeviationWindow}
 }
 
 // Observe feeds one frame's delay pair and reports whether the session
@@ -47,9 +35,7 @@ func (a *Adapter) Observe(observed, predicted float64) bool {
 		return false
 	}
 	a.streak = 0
-	if a.m != nil {
-		a.m.noteAdaptation()
-	}
+	a.m.noteAdaptation()
 	return true
 }
 

@@ -2,10 +2,11 @@
 // extracted into one reusable control loop: measure the network, optimize
 // the pipeline mapping (the Eq. 9-10 dynamic program, memoized), deploy the
 // resulting VRT, monitor realized frame delay against the VRT's prediction,
-// and adapt when conditions drift. Both of the repo's session models are
-// clients of this engine — emulated steering.Session/Deployment drive it on
-// the netsim virtual clock, live steering.SessionManager sessions on wall
-// time — so the measure/optimize/adapt logic exists exactly once.
+// and adapt when conditions drift. Live steering.SessionManager sessions
+// drive it on the manager's clock (wall time in the server, virtual time
+// under the scenario engine) and the evaluation-side steering.Deployment on
+// the netsim virtual clock, so the measure/optimize/adapt logic exists
+// exactly once.
 //
 // Measurement is continuous and incremental. A Manager keeps one EWMA
 // estimate per directed edge, fed by the Section 4.3 EPB probes: a full

@@ -167,8 +167,10 @@ func TestProbeTickMarksDarkLinkDead(t *testing.T) {
 }
 
 func TestAdapterWindow(t *testing.T) {
-	m := New(quietTestbed(1), testConfig())
-	a := m.NewAdapterTuned(0.5, 2)
+	cfg := testConfig()
+	cfg.DeviationTolerance, cfg.DeviationWindow = 0.5, 2
+	m := New(quietTestbed(1), cfg)
+	a := m.NewAdapter()
 
 	if a.Observe(1.0, 0) {
 		t.Fatal("triggered with no installed VRT")

@@ -5,18 +5,20 @@
 // execute visualization modules, and the front-end/client side that
 // receives images and issues steering commands.
 //
-// Control messages travel hop by hop over the emulated control links, and
-// dataset/geometry payloads move as bulk flows over the data links, so an
-// end-to-end frame delay measured here includes every term of the paper's
-// Eq. 2 plus the real transport-level effects (cross traffic, loss) the
-// analytical model abstracts away.
+// There is one session model. SessionManager owns up to MaxSessions
+// concurrent live sessions — real simulations advancing on the manager's
+// clock (wall time in the server, virtual time under the scenario engine)
+// with per-session lifecycle goroutines — behind one shared cm.Manager
+// whose Adapter reconfigures a session's mapping at runtime (Section
+// 5.3.2; see DESIGN.md).
 //
-// Two session models are clients of the one control loop in internal/cm.
-// Session replays one monitoring loop on the emulated virtual clock (the
-// experiment substrate). SessionManager owns up to MaxSessions concurrent
-// live sessions — real simulations advancing in wall time with per-session
-// lifecycle goroutines — behind one shared cm.Manager (the service
-// substrate; see DESIGN.md).
+// Deployment is the evaluation substrate beside it: it measures the
+// emulated testbed and executes one optimized frame at a time on the
+// network's virtual clock (RunFrameSync), with dataset and geometry
+// payloads moving as bulk flows over the data links, so a frame delay
+// measured there includes every term of the paper's Eq. 2 plus the real
+// transport-level effects (cross traffic, loss) the analytical model
+// abstracts away.
 package steering
 
 import (
@@ -30,16 +32,15 @@ import (
 
 // Deployment binds an emulated network to a Central Manager instance. It is
 // the virtual-clock client of the cm control loop: Measure builds (or
-// refreshes) the CM, Optimize consults its memoized dynamic program, and
-// ProbeTick drives incremental background re-measurement between frames.
+// refreshes) the CM and Optimize consults its memoized dynamic program.
 type Deployment struct {
 	Net *netsim.Network
 	// CM is the control loop: the measured graph, the per-edge EWMA
 	// estimate store, and the shared memoized optimizer. Nil until Measure.
 	CM *cm.Manager
 	// Graph is the CM's current published snapshot (a synced read-only
-	// view, refreshed by Measure/ProbeTick; kept as a field for the many
-	// evaluation layers that address the graph directly).
+	// view, refreshed by Measure; kept as a field for the many evaluation
+	// layers that address the graph directly).
 	Graph *pipeline.Graph
 	// Estimates is the CM's per-channel measurement view keyed "from->to".
 	Estimates map[string]cost.PathEstimate
@@ -62,26 +63,6 @@ func (d *Deployment) Measure(probeSizes []int, repeats int) {
 	} else {
 		d.CM.MeasureAllWith(probeSizes, repeats)
 	}
-	d.sync()
-}
-
-// ProbeTick re-probes the next few links round-robin (the continuous
-// background measurement of the control loop, driven here on the virtual
-// clock by the session between frames). It reports whether the drift
-// crossed the CM's tolerance and a re-stamped graph was published.
-func (d *Deployment) ProbeTick() bool {
-	if d.CM == nil {
-		return false
-	}
-	changed := d.CM.ProbeTick()
-	// Only the graph view is refreshed on the per-frame path; Estimates
-	// (a full map rebuild) is refreshed by the explicit Measure sweeps.
-	d.Graph = d.CM.Graph()
-	return changed
-}
-
-// sync refreshes the snapshot views after a full measurement sweep.
-func (d *Deployment) sync() {
 	d.Graph = d.CM.Graph()
 	d.Estimates = d.CM.Estimates()
 }

@@ -14,63 +14,66 @@ type FrameResult struct {
 	Path    []string    // node sequence traversed
 }
 
-// RunFrame executes a pipeline under a fixed placement on the emulated
-// network's virtual clock: module compute times are charged per the
-// measured cost model (the identical formula the optimizer uses), and
-// inter-node messages move as reliable bulk flows over the real emulated
-// channels — so cross traffic, loss, and jitter perturb the realized delay
-// around the optimizer's prediction, as on the paper's live testbed.
+// RunFrameSync executes a pipeline under a fixed placement on the emulated
+// network's virtual clock and drives the event loop until the frame
+// completes, returning the result; the caller must own the event loop.
+// Module compute times are charged per the measured cost model (the
+// identical formula the optimizer uses), and inter-node messages move as
+// reliable bulk flows over the real emulated channels — so cross traffic,
+// loss, and jitter perturb the realized delay around the optimizer's
+// prediction, as on the paper's live testbed.
 //
 // placement[k] names the node executing module k; srcName hosts the source.
-// done receives the frame result at the virtual instant the final module
-// output lands on the last node.
-func (d *Deployment) RunFrame(p *pipeline.Pipeline, srcName string, placement []string, done func(FrameResult)) error {
+// The result's Elapsed ends at the virtual instant the final module output
+// lands on the last node.
+func (d *Deployment) RunFrameSync(p *pipeline.Pipeline, srcName string, placement []string) (FrameResult, error) {
+	var res FrameResult
 	if d.Graph == nil {
-		return fmt.Errorf("steering: Measure must run before RunFrame")
+		return res, fmt.Errorf("steering: Measure must run before RunFrameSync")
 	}
 	if len(placement) != len(p.Modules) {
-		return fmt.Errorf("steering: placement covers %d modules, want %d", len(placement), len(p.Modules))
+		return res, fmt.Errorf("steering: placement covers %d modules, want %d", len(placement), len(p.Modules))
 	}
 	src := d.Graph.NodeIndex(srcName)
 	if src < 0 {
-		return fmt.Errorf("steering: unknown source %q", srcName)
+		return res, fmt.Errorf("steering: unknown source %q", srcName)
 	}
+	// Resolve and validate the whole placement before any event runs.
 	nodes := make([]int, len(placement))
+	cur := src
 	for k, name := range placement {
 		v := d.Graph.NodeIndex(name)
 		if v < 0 {
-			return fmt.Errorf("steering: unknown node %q", name)
+			return res, fmt.Errorf("steering: unknown node %q", name)
 		}
 		nodes[k] = v
-	}
-	// Validate feasibility up front so failures are synchronous.
-	cur := src
-	for k, v := range nodes {
 		if v != cur {
 			if d.Net.Channel(d.Graph.Nodes[cur].Name, d.Graph.Nodes[v].Name) == nil {
-				return fmt.Errorf("steering: no channel %s -> %s",
+				return res, fmt.Errorf("steering: no channel %s -> %s",
 					d.Graph.Nodes[cur].Name, d.Graph.Nodes[v].Name)
 			}
 			cur = v
 		}
 		if math.IsInf(pipeline.ExecTime(d.Graph, p, k, v), 1) {
-			return fmt.Errorf("steering: module %s infeasible on %s",
+			return res, fmt.Errorf("steering: module %s infeasible on %s",
 				p.Modules[k].Name, d.Graph.Nodes[v].Name)
 		}
 	}
 
 	start := d.Net.Now()
 	path := []string{srcName}
+	completed := false
 	var step func(k, at int)
 	step = func(k, at int) {
 		if k == len(nodes) {
-			done(FrameResult{Elapsed: d.Net.Now() - start, Path: path})
+			res = FrameResult{Elapsed: d.Net.Now() - start, Path: path}
+			completed = true
 			return
 		}
 		v := nodes[k]
 		run := func() {
 			ct := pipeline.ExecTime(d.Graph, p, k, v)
-			d.Net.Schedule(secondsToDuration(ct), func() { step(k+1, v) })
+			d.Net.Schedule(netsim.Time(ct*1e9), func() { step(k+1, v) })
 		}
 		if v != at {
 			ch := d.Net.Channel(d.Graph.Nodes[at].Name, d.Graph.Nodes[v].Name)
@@ -81,18 +84,6 @@ func (d *Deployment) RunFrame(p *pipeline.Pipeline, srcName string, placement []
 		run()
 	}
 	step(0, src)
-	return nil
-}
-
-// RunFrameSync executes a frame and drives the event loop until it
-// completes, returning the result. The caller must own the event loop.
-func (d *Deployment) RunFrameSync(p *pipeline.Pipeline, srcName string, placement []string) (FrameResult, error) {
-	var res FrameResult
-	completed := false
-	err := d.RunFrame(p, srcName, placement, func(r FrameResult) { res = r; completed = true })
-	if err != nil {
-		return res, err
-	}
 	d.Net.Run()
 	if !completed {
 		return res, fmt.Errorf("steering: frame never completed")
@@ -100,7 +91,7 @@ func (d *Deployment) RunFrameSync(p *pipeline.Pipeline, srcName string, placemen
 	return res, nil
 }
 
-// PlacementFromVRT flattens a VRT into the per-module node list RunFrame
+// PlacementFromVRT flattens a VRT into the per-module node list RunFrameSync
 // expects (dropping the source pseudo-module).
 func PlacementFromVRT(vrt *pipeline.VRT) []string {
 	var out []string
@@ -114,38 +105,4 @@ func PlacementFromVRT(vrt *pipeline.VRT) []string {
 		}
 	}
 	return out
-}
-
-// ControlSend models a steering or visualization-operation message of the
-// given size traversing the control route hop by hop (e.g. client -> CM ->
-// data source), invoking done with the total control latency.
-func (d *Deployment) ControlSend(route []string, size int, done func(netsim.Time)) error {
-	for i := 0; i+1 < len(route); i++ {
-		if route[i] == route[i+1] {
-			continue // co-located roles (e.g. client and front end on one host)
-		}
-		if d.Net.Channel(route[i], route[i+1]) == nil {
-			return fmt.Errorf("steering: no control channel %s -> %s", route[i], route[i+1])
-		}
-	}
-	start := d.Net.Now()
-	var hop func(i int)
-	hop = func(i int) {
-		if i+1 >= len(route) {
-			done(d.Net.Now() - start)
-			return
-		}
-		if route[i] == route[i+1] {
-			hop(i + 1)
-			return
-		}
-		ch := d.Net.Channel(route[i], route[i+1])
-		netsim.BulkTransfer(ch, size, func(netsim.Time) { hop(i + 1) })
-	}
-	hop(0)
-	return nil
-}
-
-func secondsToDuration(s float64) netsim.Time {
-	return netsim.Time(s * 1e9)
 }

@@ -1,15 +1,20 @@
 package steering
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"image"
+	"image/draw"
+	"image/png"
 	"sync"
 	"testing"
 	"time"
 
 	"ricsa/internal/clock"
 	"ricsa/internal/netsim"
+	"ricsa/internal/telemetry"
 )
 
 // testManager builds a manager with fast, small-session defaults.
@@ -366,6 +371,63 @@ func TestSteerIsovalueReoptimizes(t *testing.T) {
 	waitUntil(t, "re-optimization with new isovalue", func() bool {
 		return m.CacheStats().Misses > missesBefore
 	})
+}
+
+// TestPhysicsSteerChangesPublishedFrame closes the visual feedback loop on
+// the live path: twin sessions on a virtual clock, identical except that
+// one's reservoir is steered denser and to a higher pressure after two
+// frames, must publish final frames whose pixels differ.
+func TestPhysicsSteerChangesPublishedFrame(t *testing.T) {
+	run := func(steer bool) []uint8 {
+		m := NewSessionManager(ManagerConfig{
+			MaxSessions: 1, ReoptimizeEvery: 2, Seed: 42, Clock: clock.NewVirtual(time.Unix(0, 0)),
+		})
+		t.Cleanup(func() { m.Shutdown(context.Background()) })
+		req := DefaultRequest()
+		req.NX, req.NY, req.NZ = 48, 24, 24
+		req.StepsPerFrame = 5
+		// No lifecycle goroutine: the test owns produce.
+		s, err := newManagedSession(m, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Width, s.Height = 96, 96
+		t.Cleanup(s.Attach())
+		for i := 0; i < 2; i++ {
+			s.produce(telemetry.CauseTick)
+		}
+		if steer {
+			if err := s.Steer(map[string]float64{"left_pressure": 12, "left_density": 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Enough post-steer cycles for the re-driven shock to overtake the
+		// old contact and move the monitored isosurface.
+		for i := 0; i < 16; i++ {
+			s.produce(telemetry.CauseTick)
+		}
+		s.mu.Lock()
+		frame := s.png
+		s.mu.Unlock()
+		img, err := png.Decode(bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pix := image.NewRGBA(img.Bounds())
+		draw.Draw(pix, pix.Rect, img, img.Bounds().Min, draw.Src)
+		return pix.Pix
+	}
+	plain := run(false)
+	steered := run(true)
+	diff := 0
+	for i := range plain {
+		if plain[i] != steered[i] {
+			diff++
+		}
+	}
+	if diff < len(plain)/200 { // at least 0.5% of bytes must change
+		t.Fatalf("steered frame differs in only %d of %d bytes", diff, len(plain))
+	}
 }
 
 func TestShutdownStopsEverything(t *testing.T) {

@@ -3,7 +3,6 @@ package steering
 import (
 	"math"
 	"testing"
-	"time"
 
 	"ricsa/internal/dataset"
 	"ricsa/internal/netsim"
@@ -220,118 +219,6 @@ func TestOptimalLoopBeatsAllFixedLoops(t *testing.T) {
 		if res.Elapsed < opt.Elapsed {
 			t.Fatalf("%s (%v) beat the optimal loop (%v)", loop.Name, res.Elapsed, opt.Elapsed)
 		}
-	}
-}
-
-func TestControlSendLatency(t *testing.T) {
-	d := measuredTestbed(t, 8)
-	var lat netsim.Time
-	err := d.ControlSend([]string{netsim.ORNL, netsim.LSU, netsim.GaTech}, 4<<10, func(l netsim.Time) { lat = l })
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Net.Run()
-	if lat <= 0 || lat > time.Second {
-		t.Fatalf("control latency %v implausible", lat)
-	}
-}
-
-func TestControlSendSameNodeHops(t *testing.T) {
-	d := measuredTestbed(t, 9)
-	done := false
-	err := d.ControlSend([]string{netsim.ORNL, netsim.ORNL, netsim.LSU}, 1024, func(netsim.Time) { done = true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Net.Run()
-	if !done {
-		t.Fatal("co-located hop stalled")
-	}
-}
-
-func TestSessionLifecycleAndSteering(t *testing.T) {
-	d := measuredTestbed(t, 10)
-	req := DefaultRequest()
-	req.NX, req.NY, req.NZ = 48, 24, 24
-	req.StepsPerFrame = 2
-	s, err := NewSession(d, netsim.ORNL, netsim.ORNL, netsim.LSU, netsim.GaTech, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.VRT == nil || len(s.Placement) != 4 {
-		t.Fatalf("session missing VRT/placement: %v", s.Placement)
-	}
-
-	// Frame 1 unsteered; then steer the driver pressure up; two more frames.
-	steered := simengine.DefaultSodParams()
-	steered.LeftPressure = 8
-	err = s.RunFrames(4, func(frame int) *simengine.Params {
-		if frame == 1 {
-			return &steered
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Frames) != 4 {
-		t.Fatalf("%d frames, want 4", len(s.Frames))
-	}
-	if len(s.ControlLats) != 1 {
-		t.Fatalf("%d control messages, want 1", len(s.ControlLats))
-	}
-	if s.Sim.Params().LeftPressure != 8 {
-		t.Fatal("steering parameter never reached the simulator")
-	}
-	for i, f := range s.Frames {
-		if f.Elapsed <= 0 {
-			t.Fatalf("frame %d delay %v, want positive", i, f.Elapsed)
-		}
-	}
-}
-
-func TestSessionSteeringChangesRenderedImage(t *testing.T) {
-	// Twin sessions: identical except one is steered mid-run. Their final
-	// frames must differ pixelwise — the visual feedback loop works.
-	run := func(steer bool) []uint8 {
-		d := measuredTestbed(t, 11)
-		req := DefaultRequest()
-		req.NX, req.NY, req.NZ = 48, 24, 24
-		req.StepsPerFrame = 5
-		s, err := NewSession(d, netsim.ORNL, netsim.ORNL, netsim.LSU, netsim.GaTech, req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RunFrames(2, nil); err != nil {
-			t.Fatal(err)
-		}
-		if steer {
-			p := simengine.DefaultSodParams()
-			p.LeftPressure = 12
-			p.LeftDensity = 2
-			s.Sim.SetParams(p)
-		}
-		// Enough post-steer cycles for the re-driven shock to overtake the
-		// old contact and move the monitored isosurface.
-		if err := s.RunFrames(16, nil); err != nil {
-			t.Fatal(err)
-		}
-		img, err := RenderDataset(s.snapshot(), s.Req, 96, 96)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return img.Pix
-	}
-	plain := run(false)
-	steered := run(true)
-	diff := 0
-	for i := range plain {
-		if plain[i] != steered[i] {
-			diff++
-		}
-	}
-	if diff < len(plain)/200 { // at least 0.5% of bytes must change
-		t.Fatalf("steered image differs in only %d of %d bytes", diff, len(plain))
 	}
 }
 

@@ -109,8 +109,8 @@ func TestExtractROICacheEquivalence(t *testing.T) {
 	check("after isovalue steer")
 }
 
-// TestExtractROINilQueueInline: the ROI path must work without a pool (the
-// emulated Session passes a nil queue).
+// TestExtractROINilQueueInline: the ROI path must work without a pool (a
+// caller with no pool passes a nil queue).
 func TestExtractROINilQueueInline(t *testing.T) {
 	f := sphereField(17)
 	var cache viz.BlockMeshCache
