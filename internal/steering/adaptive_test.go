@@ -1,99 +1,85 @@
 package steering
 
 import (
+	"context"
 	"testing"
+	"time"
 
-	"ricsa/internal/dataset"
 	"ricsa/internal/netsim"
 )
 
-func datasetRage() dataset.Spec { return dataset.RageSpec.Scaled(8) }
-
-// TestAdaptiveReconfigurationOnLinkDegradation reproduces the runtime
-// behaviour of Section 5.3.2: when a link on the chosen loop collapses, the
-// CM re-measures, recomputes the VRT, and subsequent frames recover.
-func TestAdaptiveReconfigurationOnLinkDegradation(t *testing.T) {
-	d := measuredTestbed(t, 21)
-	req := DefaultRequest()
-	req.NX, req.NY, req.NZ = 64, 32, 32 // large enough that paths matter
-	req.StepsPerFrame = 1
-	s, err := NewSession(d, netsim.ORNL, netsim.ORNL, netsim.LSU, netsim.GaTech, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.AdaptTolerance = 0.5
-
-	// The toy simulation's dataset is small enough to ship straight to the
-	// client; substitute the 64 MB archival pipeline so the mapping
-	// actually exercises the fast GaTech->UT->ORNL path.
-	st := AnalyzeSpec(datasetRage(), 4)
-	st.RawBytes = 64 << 20
-	s.Pipe = BuildIsoPipeline(st)
-	vrt, err := d.Optimize(s.Pipe, s.DS, s.Client)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.VRT = vrt
-	s.Placement = PlacementFromVRT(vrt)
-
-	usesUT := func(placement []string) bool {
-		for _, n := range placement {
-			if n == netsim.UT {
-				return true
-			}
+// crossesHop reports whether path crosses the link a–b in either direction.
+func crossesHop(path []string, a, b string) bool {
+	for i := 0; i+1 < len(path); i++ {
+		if (path[i] == a && path[i+1] == b) || (path[i] == b && path[i+1] == a) {
+			return true
 		}
-		return false
 	}
-	if !usesUT(s.Placement) {
-		t.Fatalf("heavy pipeline should route via UT, got %v", s.Placement)
-	}
-
-	if err := s.RunFrames(2, nil); err != nil {
-		t.Fatal(err)
-	}
-	if s.Reconfigs != 0 {
-		t.Fatalf("reconfigured on a healthy network (%d times)", s.Reconfigs)
-	}
-	healthy := s.Frames[len(s.Frames)-1].Elapsed
-
-	// Collapse the GaTech->UT data path to 2% of its capacity.
-	l := d.Net.FindLink(netsim.GaTech, netsim.UT)
-	l.AB.SetBandwidth(l.AB.Config().Bandwidth * 0.02)
-	l.BA.SetBandwidth(l.BA.Config().Bandwidth * 0.02)
-
-	if err := s.RunFrames(3, nil); err != nil {
-		t.Fatal(err)
-	}
-	if s.Reconfigs == 0 {
-		t.Fatal("link collapse never triggered reconfiguration")
-	}
-	if usesUT(s.Placement) {
-		t.Fatalf("new mapping still routes through the dead link: %v", s.Placement)
-	}
-	recovered := s.Frames[len(s.Frames)-1].Elapsed
-	degraded := s.Frames[2].Elapsed // first frame after the collapse
-	if recovered >= degraded {
-		t.Fatalf("no recovery: degraded frame %v, post-reconfig frame %v", degraded, recovered)
-	}
-	_ = healthy
+	return false
 }
 
-// TestAdaptiveDisabledByDefault guards the zero-value behaviour.
-func TestAdaptiveDisabledByDefault(t *testing.T) {
-	d := measuredTestbed(t, 22)
-	req := DefaultRequest()
-	req.NX, req.NY, req.NZ = 32, 16, 16
-	req.StepsPerFrame = 1
-	s, err := NewSession(d, netsim.ORNL, netsim.ORNL, netsim.LSU, netsim.GaTech, req)
+// TestAdaptiveReconfigurationOnLinkDegradation reproduces the runtime
+// behaviour of Section 5.3.2 on a live session: when the GaTech–UT hop of
+// the installed loop collapses, the re-measured graph trips the Adapter,
+// the CM recomputes the VRT off the dead hop, and the new loop's predicted
+// delay sits below the old loop re-priced on the degraded graph.
+func TestAdaptiveReconfigurationOnLinkDegradation(t *testing.T) {
+	m := NewSessionManager(ManagerConfig{
+		MaxSessions:     1,
+		ReoptimizeEvery: 1 << 20, // reconfiguration must come from the Adapter
+		Seed:            21,
+		AdaptTolerance:  0.5,
+		AdaptWindow:     2,
+	})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		m.Shutdown(ctx)
+	})
+	// Large enough that transfer cost routes the loop through UT.
+	req := smallRequest()
+	req.SourceNode, req.ClientNode = netsim.GaTech, netsim.ORNL
+	req.NX, req.NY, req.NZ = 48, 48, 48
+	req.BlockEdge = 8
+	s, err := m.CreateTuned(req, 3*time.Millisecond, 48, 48)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := d.Net.FindLink(netsim.GaTech, netsim.UT)
+	waitUntil(t, "first consultation", func() bool { return s.Reoptimizations() >= 1 })
+	pipe, src, before, _, ok := s.Mapping()
+	if !ok {
+		t.Fatalf("no mapping (optimize_error=%v)", s.Status()["optimize_error"])
+	}
+	path := s.Tree().BranchPath(0)
+	if !crossesHop(path, netsim.GaTech, netsim.UT) {
+		t.Fatalf("heavy pipeline should route via %s-%s, got %v", netsim.GaTech, netsim.UT, path)
+	}
+	if s.Adaptations() != 0 {
+		t.Fatalf("adapted on a healthy network (%d times)", s.Adaptations())
+	}
+
+	// Collapse the GaTech–UT data path to 2% of its capacity, then register
+	// the drift with a full sweep (standing in for enough prober ticks).
+	l := m.CM().Network().FindLink(netsim.GaTech, netsim.UT)
 	l.AB.SetBandwidth(l.AB.Config().Bandwidth * 0.02)
-	if err := s.RunFrames(2, nil); err != nil {
+	l.BA.SetBandwidth(l.BA.Config().Bandwidth * 0.02)
+	m.CM().MeasureAll()
+	degraded, err := m.CM().PredictPlacement(pipe, src, before[0])
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Reconfigs != 0 {
-		t.Fatal("reconfiguration ran despite AdaptTolerance == 0")
+
+	waitUntil(t, "adapter-forced reconfiguration off the dead hop", func() bool {
+		tree := s.Tree()
+		return s.Adaptations() >= 1 && tree != nil &&
+			!crossesHop(tree.BranchPath(0), netsim.GaTech, netsim.UT)
+	})
+	_, _, _, recovered, ok := s.Mapping()
+	if !ok {
+		t.Fatal("mapping lost after reconfiguration")
+	}
+	if recovered >= degraded {
+		t.Fatalf("no recovery: old loop on the degraded graph %.3fs, new loop %.3fs (path %v)",
+			degraded, recovered, s.Tree().BranchPath(0))
 	}
 }
